@@ -4,9 +4,9 @@ halo exchange) — the workloads the paper's applications motivate (§II)."""
 import pytest
 
 from benchmarks.conftest import record_table
-from repro.apps.allgather import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.pingpong import pingpong_rtt_ns
+from repro.collectives import ring_allgather
 from repro.hw.node import NodeParams
 from repro.tca.subcluster import TCASubCluster
 

@@ -6,9 +6,8 @@ neighbour exchange on the sub-cluster ring.
 """
 
 from repro.apps.pingpong import pingpong_rtt_ns
-from repro.apps.allgather import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.gpu_stencil import DualGPUStencil, GPUStencil
 
-__all__ = ["pingpong_rtt_ns", "ring_allgather", "HaloExchange2D",
-           "GPUStencil", "DualGPUStencil"]
+__all__ = ["pingpong_rtt_ns", "HaloExchange2D", "GPUStencil",
+           "DualGPUStencil"]

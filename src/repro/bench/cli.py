@@ -176,7 +176,7 @@ def _load_json(path: str, what: str):
 
 
 def _perf_main(args) -> int:
-    """``tca-bench perf`` with profiler/gate/history flags."""
+    """``tca-bench perf`` with sampler/gate/history flags."""
     import os
 
     from repro.bench import history as hist
@@ -442,8 +442,8 @@ def main(argv=None) -> int:
         "perf options", "only meaningful with the 'perf' experiment or "
         "the 'report' subcommand (see docs/performance.md)")
     perf_group.add_argument("--profile", action="store_true",
-                            help="profile engine dispatch per experiment "
-                                 "and print the top hotspots")
+                            help="sample host time per experiment and "
+                                 "print its layer shares and top sites")
     perf_group.add_argument("--check", action="store_true",
                             help="gate this run against --baseline; "
                                  "exit nonzero on regression")

@@ -354,9 +354,9 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
     """
     import numpy as np
 
-    from repro.apps.allgather import ring_allgather
     from repro.baselines.collectives import ring_allgather_mpi, run_all
     from repro.baselines.fabric import IBGroup
+    from repro.collectives import ring_allgather
 
     table = SweepTable(
         f"E18: ring allgather, {num_nodes} nodes (total time)",

@@ -14,7 +14,7 @@ Three consumers of the ``tca-bench-perf/1`` document:
 * **Dashboard** — :func:`render_dashboard` emits one self-contained
   HTML file (no external assets): anchor pass/fail, the events/s trend
   over recorded runs, overhead ratios against the budget, and the
-  profiler's top hotspots.
+  sampler's top sites (``tca-bench-profile/2`` hotspots).
 
 The gate compares per experiment and only over experiments present in
 *both* documents, so a tiny CI budget (``--perf-experiments fig9``) can
@@ -522,14 +522,15 @@ def _hotspots_section(profiles: Dict[str, Dict[str, Any]],
     for wall_ns, name, spot in merged[:top_n]:
         rows.append(
             f"<tr><td>{_esc(name)}</td>"
-            f"<td>{_esc(spot['component'])}</td>"
-            f"<td>{_esc(spot['kind'])}</td>"
-            f"<td>{spot['calls']:,}</td>"
+            f"<td>{_esc(spot['layer'])}</td>"
+            f"<td>{spot['samples']:,}</td>"
+            f"<td>{100 * spot['share']:.1f}%</td>"
             f"<td>{wall_ns / 1e6:,.2f}</td>"
             f"<td class='muted'>{_esc(spot['site'])}</td></tr>")
-    return ("<table><thead><tr><th>experiment</th><th>component</th>"
-            "<th>kind</th><th>calls</th><th>wall ms</th><th>site</th>"
-            f"</tr></thead><tbody>{''.join(rows)}</tbody></table>")
+    return ("<table><thead><tr><th>experiment</th><th>layer</th>"
+            "<th>samples</th><th>share</th><th>est. wall ms</th>"
+            f"<th>site</th></tr></thead><tbody>{''.join(rows)}</tbody>"
+            "</table>")
 
 
 def render_dashboard(history: Optional[List[Dict[str, Any]]] = None,

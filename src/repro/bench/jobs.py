@@ -346,8 +346,9 @@ def new_run_id(mode: str, seed: int) -> str:
 # -- the worker supervisor ------------------------------------------------------------
 
 def _worker_main(wid: int, conn, results, runner, spill_dir: str,
-                 origin_ns: Optional[int],
-                 heartbeat_s: float) -> None:  # pragma: no cover - child
+                 origin_ns: Optional[int], heartbeat_s: float,
+                 supervisor_ends: Sequence[Any],
+                 ) -> None:  # pragma: no cover - child
     """Worker body: pull jobs off the pipe, spill payloads, report back.
 
     Runs in a forked child.  The parent owns interrupt handling, so
@@ -358,7 +359,15 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
     files — and nothing is shared with sibling workers, so dying
     mid-send can tear at most this one channel.  The send lock only
     arbitrates between this process's main and heartbeat threads.
+
+    ``supervisor_ends`` are the pipe ends the supervisor keeps — this
+    worker's and every older sibling's — which the fork copied into this
+    process.  They are closed first: a copy held here would keep a pipe
+    open after the supervisor dies, and ``conn.recv()`` would then wait
+    for EOF forever instead of letting the orphan exit.
     """
+    for end in supervisor_ends:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
@@ -539,10 +548,14 @@ class JobScheduler:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         res_recv, res_send = self._ctx.Pipe(duplex=False)
         origin_ns = None if self.runlog is None else self.runlog.origin_ns
+        supervisor_ends = [send_conn, res_recv]
+        for other in self._pool.values():
+            supervisor_ends += [other.conn, other.results]
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, recv_conn, res_send, self.runner,
-                  str(self._spill_dir), origin_ns, self.heartbeat_s),
+                  str(self._spill_dir), origin_ns, self.heartbeat_s,
+                  supervisor_ends),
             daemon=True)
         proc.start()
         recv_conn.close()  # child's ends; parent keeps send (tasks)

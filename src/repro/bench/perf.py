@@ -201,22 +201,20 @@ def run_perf(names: Optional[Sequence[str]] = None) -> PerfReport:
 
 
 def run_profile(names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-    """Run each experiment once under an :class:`EngineProfiler`.
+    """Run each experiment once under a :class:`~repro.obs.profile.Sampler`.
 
     Returns ``{experiment: ProfileReport}`` — the ``perf --profile``
-    payload.  Each experiment gets a fresh profiler so its hotspots are
-    not diluted by the others'; the window opens tight around the run,
-    so the attribution covers exactly the experiment's wall time
-    (dispatch + harness gaps).
+    payload.  Each experiment gets a fresh sampler so its layer shares
+    are not diluted by the others'.
     """
-    from repro.obs.profile import EngineProfiler
+    from repro.obs.profile import Sampler
 
     names = list(PERF_EXPERIMENTS) if names is None else list(names)
     reports: Dict[str, Any] = {}
     for name in names:
         fn = PERF_EXPERIMENTS[name]
-        profiler = EngineProfiler()
-        with profiler.session():
+        sampler = Sampler()
+        with sampler.session():
             fn()
-        reports[name] = profiler.report(label=name)
+        reports[name] = sampler.report(label=name)
     return reports

@@ -1,314 +1,183 @@
-"""Opt-in wall-clock profiler for the event-engine dispatch loop.
+"""Statistical host-time sampler: which layer of :mod:`repro` spent it.
 
 Every other instrument in :mod:`repro.obs` watches *simulated* time; this
-one watches where *host* time goes while the engine dispatches events —
-the targeting instrument for engine-speed work (ROADMAP item 1).  An
-:class:`EngineProfiler` installs itself as ``engine.profiler``; the
-engine then routes :meth:`~repro.sim.core.Engine.step` through a timed
-copy of the dispatch body and reports each step's wall-clock nanoseconds
-here, attributed to the callback that ran:
+one answers where *host* time goes.  A :class:`Sampler` arms
+``signal.setitimer(ITIMER_PROF)``; on every SIGPROF its handler walks out
+from the interrupted frame to the innermost ``repro.*`` frame and books
+one sample to
 
-* **component** — who the callback belongs to: a process name with
-  instance digits folded away (``flow``, ``coll.pio``), a signal family,
-  or the owning class (``PCIeLink``, ``DMAEngine``),
-* **kind** — what sort of callback it was (``process``, ``signal``,
-  ``method``, ``function``),
-* **site** — the exact code location (``module.qualname``), the thing a
-  human optimizes.
+* **layer** — the package under ``repro.`` (``sim``, ``pcie``,
+  ``peach2``, ``hw``, ``bench``, …), and
+* **site** — that frame's ``module.qualname``, the thing a human
+  optimizes.
 
-Wall time *between* dispatches — experiment harness code, rig
-construction, result analysis — is charged to an explicit
-:data:`HARNESS` component, so a report attributes (essentially) the
-whole profiling window and the dispatch/harness split is itself a
-reported number.
+A stack with no ``repro`` frame at all is booked to :data:`OTHER`.
+Nothing in the simulator is hooked: engines dispatch on their production
+path (batch-advance included) and every simulated-time output is
+picosecond-identical to an unprofiled run.
 
-Profiling is pure wall-clock bookkeeping: it schedules nothing and never
-reads or advances simulated time, so a profiled run's simulated outputs
-are picosecond-identical to an unprofiled one.  With no profiler
-installed the entire cost is one ``is not None`` check per step.
+``ITIMER_PROF`` counts process CPU time, and the kernel delivers it at
+its own tick: a requested 1 ms interval arrived at ~230 Hz on a 2-core
+Linux VM.  A report therefore turns sample counts into wall estimates by
+the measured window (``window_ns * samples / total``), never by
+:data:`INTERVAL_S`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import re
+import signal
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import FrameType
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.sim.core import (Engine, Process, Signal, register_engine_observer,
-                            unregister_engine_observer)
+from repro.errors import ConfigError
 
-#: Instance digits in process/signal names ("flow3", "node0.sched.17")
-#: fragment hotspot aggregation; fold them away for the component label.
-_DIGITS = re.compile(r"\d+")
+#: Requested SIGPROF interval in CPU seconds (see the module docstring
+#: for why the delivered rate is lower).
+INTERVAL_S = 0.001
 
-#: Component label for wall time spent *between* dispatches — experiment
-#: harness code, rig construction, analysis.  Attributing it explicitly
-#: keeps the whole profiling window accounted for and shows how much of
-#: a run is even engine time (the ROADMAP item 1 denominator).
-HARNESS = "(harness)"
-_HARNESS_KEY = (HARNESS, "gap", "outside engine dispatch")
+#: Layer and site of a sample whose stack holds no ``repro`` frame.
+OTHER = "(other)"
 
 
-def _fold(name: str) -> str:
-    """Collapse instance digits: ``coll0.pio`` -> ``coll.pio``."""
-    return _DIGITS.sub("", name).strip(".") or "anonymous"
+def classify(frame: Optional[FrameType]) -> Tuple[str, str]:
+    """``(layer, site)`` of the innermost ``repro.*`` frame at or below
+    ``frame`` on the call stack, or ``(OTHER, OTHER)`` if there is none."""
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("repro."):
+            code = frame.f_code
+            # co_qualname is Python 3.11+; on 3.10 a site names the bare
+            # function, without its class.
+            name = getattr(code, "co_qualname", code.co_name)
+            return module.split(".", 2)[1], f"{module}.{name}"
+        frame = frame.f_back
+    return OTHER, OTHER
 
 
 @dataclass(frozen=True)
 class ProfileEntry:
-    """Aggregated dispatch cost of one (component, kind, site) bucket."""
+    """Samples booked to one (layer, site) bucket."""
 
-    component: str
-    kind: str
+    layer: str
     site: str
-    calls: int
+    samples: int
+    #: Estimated host nanoseconds: the bucket's share of the window.
     wall_ns: int
 
-    @property
-    def wall_s(self) -> float:
-        return self.wall_ns / 1e9
-
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, total: int) -> Dict[str, Any]:
         return {
-            "component": self.component,
-            "kind": self.kind,
+            "layer": self.layer,
             "site": self.site,
-            "calls": self.calls,
+            "samples": self.samples,
+            "share": round(self.samples / total, 4),
             "wall_ns": self.wall_ns,
         }
 
 
 class ProfileReport:
-    """One profiling window's hotspots, ready to rank and render."""
+    """One sampling window's layers and sites, ready to rank and render."""
 
-    def __init__(self, entries: List[ProfileEntry], window_ns: int,
-                 engines: int, label: str = ""):
-        self.entries = sorted(entries, key=lambda e: (-e.wall_ns, e.site))
+    def __init__(self, counts: Dict[Tuple[str, str], int], window_ns: int,
+                 label: str = ""):
+        self.samples = sum(counts.values())
         self.window_ns = window_ns
-        self.engines = engines
         self.label = label
-
-    @property
-    def attributed_ns(self) -> int:
-        """Window nanoseconds attributed to named components."""
-        return sum(e.wall_ns for e in self.entries)
-
-    @property
-    def harness_ns(self) -> int:
-        """Nanoseconds spent outside dispatch (the HARNESS bucket)."""
-        return sum(e.wall_ns for e in self.entries
-                   if e.component == HARNESS)
-
-    @property
-    def dispatch_ns(self) -> int:
-        """Nanoseconds spent inside engine dispatch proper."""
-        return self.attributed_ns - self.harness_ns
-
-    @property
-    def calls(self) -> int:
-        """Dispatched events (HARNESS gap intervals excluded)."""
-        return sum(e.calls for e in self.entries if e.component != HARNESS)
-
-    @property
-    def attributed_fraction(self) -> float:
-        """Attributed share of the whole profiling window, in [0, 1]."""
-        if self.window_ns <= 0:
-            return 0.0
-        return min(1.0, self.attributed_ns / self.window_ns)
+        per_sample = window_ns / self.samples if self.samples else 0.0
+        self.entries = sorted(
+            (ProfileEntry(layer, site, n, round(n * per_sample))
+             for (layer, site), n in counts.items()),
+            key=lambda e: (-e.samples, e.site))
 
     def top(self, n: int = 10) -> List[ProfileEntry]:
-        """The ``n`` most expensive buckets, by attributed wall time."""
+        """The ``n`` most-sampled sites."""
         return self.entries[:n]
 
-    def by_component(self) -> Dict[str, int]:
-        """Component -> attributed nanoseconds, hottest first."""
+    def layers(self) -> Dict[str, float]:
+        """Layer -> share of all samples, largest first; sums to 1."""
         totals: Dict[str, int] = {}
         for e in self.entries:
-            totals[e.component] = totals.get(e.component, 0) + e.wall_ns
-        return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
+            totals[e.layer] = totals.get(e.layer, 0) + e.samples
+        return {layer: n / self.samples for layer, n
+                in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))}
+
+    @property
+    def rate_hz(self) -> float:
+        """Delivered sample rate over the window."""
+        return self.samples * 1e9 / self.window_ns if self.window_ns else 0.0
 
     def to_dict(self, top_n: int = 25) -> Dict[str, Any]:
         return {
-            "schema": "tca-bench-profile/1",
+            "schema": "tca-bench-profile/2",
             "label": self.label,
             "window_ns": self.window_ns,
-            "attributed_ns": self.attributed_ns,
-            "attributed_fraction": round(self.attributed_fraction, 4),
-            "dispatch_ns": self.dispatch_ns,
-            "harness_ns": self.harness_ns,
-            "engines": self.engines,
-            "calls": self.calls,
-            "components": self.by_component(),
-            "hotspots": [e.to_dict() for e in self.top(top_n)],
+            "samples": self.samples,
+            "interval_s": INTERVAL_S,
+            "rate_hz": round(self.rate_hz, 1),
+            "layers": {layer: round(share, 4)
+                       for layer, share in self.layers().items()},
+            "hotspots": [e.to_dict(self.samples) for e in self.top(top_n)],
         }
 
     def render(self, top_n: int = 15) -> str:
-        """Terminal hotspot table, hottest site first."""
-        attributed = self.attributed_ns or 1
-        header = (f"{'component':<18} {'kind':<9} {'calls':>9} "
-                  f"{'wall_ms':>9} {'%':>6}  site")
-        lines = [header, "-" * len(header)]
+        """Terminal table: layers, then the most-sampled sites."""
+        total = self.samples or 1
+        lines = [f"{'layer':<12} {'share':>7} {'est_ms':>9}", "-" * 30]
+        for layer, share in self.layers().items():
+            lines.append(f"{layer:<12} {100 * share:>6.1f}% "
+                         f"{share * self.window_ns / 1e6:>9.1f}")
+        lines.append("")
+        header = f"{'layer':<12} {'samples':>8} {'share':>7}  site"
+        lines += [header, "-" * len(header)]
         for e in self.top(top_n):
-            lines.append(
-                f"{e.component:<18.18} {e.kind:<9} {e.calls:>9} "
-                f"{e.wall_ns / 1e6:>9.2f} {100 * e.wall_ns / attributed:>5.1f}%"
-                f"  {e.site}")
+            lines.append(f"{e.layer:<12} {e.samples:>8} "
+                         f"{100 * e.samples / total:>6.1f}%  {e.site}")
         lines.append("")
         lines.append(
-            f"attributed {self.attributed_ns / 1e6:.2f} ms of a "
-            f"{self.window_ns / 1e6:.2f} ms window "
-            f"({100 * self.attributed_fraction:.1f}%) across "
-            f"{self.engines} engine(s): "
-            f"{self.dispatch_ns / 1e6:.2f} ms dispatch "
-            f"({self.calls} events), "
-            f"{self.harness_ns / 1e6:.2f} ms harness")
+            f"{self.samples} samples over a {self.window_ns / 1e6:.1f} ms "
+            f"window ({self.rate_hz:.0f} Hz delivered, "
+            f"{1 / INTERVAL_S:.0f} Hz requested)")
         return "\n".join(lines)
 
 
-class EngineProfiler:
-    """Attributes per-step dispatch wall time; install via ``session()``.
+class Sampler:
+    """Books SIGPROF samples by (layer, site); run code in ``session()``.
 
-    One profiler may span any number of engines (an experiment builds a
-    fresh engine per rig); buckets aggregate across all of them.  Nested
-    ``engine.step()`` re-entry from inside a callback would double-count
-    the outer step — no simulation code does that, and the profiler is a
-    diagnostic, not an accounting system.
+    Sessions may repeat; samples and window time accumulate across them.
     """
 
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
-        self.clock = clock
-        self.engines = 0
+    def __init__(self) -> None:
+        self._counts: Dict[Tuple[str, str], int] = {}
         self._window_ns = 0
-        self._t_start: Optional[int] = None
-        #: Wall timestamp where the last attributed interval ended; the
-        #: next dispatch charges the gap since then to HARNESS.
-        self._last_ns: Optional[int] = None
-        #: (component, kind, site) -> [calls, wall_ns]
-        self._buckets: Dict[Tuple[str, str, str], List[int]] = {}
-        #: function object -> (kind, site, static component or None)
-        self._sites: Dict[Any, Tuple[str, str, Optional[str]]] = {}
 
-    # -- wiring -------------------------------------------------------------
-
-    def install(self, engine: Engine) -> None:
-        """Hook one engine's dispatch loop."""
-        engine.profiler = self
-        self.engines += 1
+    def _on_sample(self, signum: int, frame: Optional[FrameType]) -> None:
+        key = classify(frame)
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     @contextlib.contextmanager
-    def session(self):
-        """Profile every :class:`Engine` constructed inside the block.
+    def session(self) -> Iterator["Sampler"]:
+        """Sample the block; the previous SIGPROF handler and a disarmed
+        ``ITIMER_PROF`` are restored on exit, also when the block raises.
 
-        Also opens the measurement window: ``attributed_fraction``
-        relates dispatch time to wall time spent inside the block.
+        Python runs signal handlers on the main thread only, so the
+        session must start there.
         """
-        register_engine_observer(self.install)
-        self.start()
+        if threading.current_thread() is not threading.main_thread():
+            raise ConfigError("the sampler must start on the main thread "
+                              "(SIGPROF handlers run only there)")
+        previous = signal.signal(signal.SIGPROF, self._on_sample)
+        start = time.perf_counter_ns()
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         try:
             yield self
         finally:
-            self.stop()
-            unregister_engine_observer(self.install)
-
-    def start(self) -> None:
-        if self._t_start is None:
-            self._t_start = self.clock()
-            self._last_ns = self._t_start
-
-    def stop(self) -> None:
-        if self._t_start is not None:
-            now = self.clock()
-            self._window_ns += now - self._t_start
-            self._t_start = None
-            # Close out the tail: window time after the last dispatch is
-            # harness time too.
-            if self._last_ns is not None and now > self._last_ns:
-                gap = self._buckets.setdefault(_HARNESS_KEY, [0, 0])
-                gap[0] += 1
-                gap[1] += now - self._last_ns
-            self._last_ns = None
-
-    # -- the hot path (called once per profiled event) ----------------------
-
-    def record(self, callback: Callable[..., None], t0_ns: int,
-               t1_ns: int) -> None:
-        """Attribute one dispatched step (``t0..t1`` on the wall clock)
-        to its callback; the gap since the previous step — experiment
-        code, rig construction, result analysis — goes to the
-        :data:`HARNESS` bucket, so the whole window stays attributed."""
-        last = self._last_ns
-        if last is not None and t0_ns > last:
-            gap = self._buckets.get(_HARNESS_KEY)
-            if gap is None:
-                self._buckets[_HARNESS_KEY] = [1, t0_ns - last]
-            else:
-                gap[0] += 1
-                gap[1] += t0_ns - last
-        self._last_ns = t1_ns
-        elapsed_ns = t1_ns - t0_ns
-        owner = getattr(callback, "__self__", None)
-        func = callback.__func__ if owner is not None else callback
-        cached = self._sites.get(func)
-        if cached is None:
-            cached = self._classify(func, owner)
-            self._sites[func] = cached
-        kind, site, static_component = cached
-        if static_component is not None:
-            component = static_component
-        elif isinstance(owner, (Process, Signal)):
-            component = _fold(owner.name)
-        else:
-            component = type(owner).__name__
-        bucket = self._buckets.get((component, kind, site))
-        if bucket is None:
-            self._buckets[(component, kind, site)] = [1, elapsed_ns]
-        else:
-            bucket[0] += 1
-            bucket[1] += elapsed_ns
-
-    @staticmethod
-    def _classify(func: Any, owner: Any) -> Tuple[str, str, Optional[str]]:
-        """(kind, site, static component) for one callback function.
-
-        The static component is ``None`` when it depends on the owner
-        instance (process/signal names, model class names) and must be
-        resolved per call.
-        """
-        module = getattr(func, "__module__", None) or "?"
-        qualname = getattr(func, "__qualname__", None) or repr(func)
-        site = f"{module}.{qualname}"
-        if owner is None:
-            return "function", site, module.rsplit(".", 1)[-1]
-        if isinstance(owner, Process):
-            return "process", site, None
-        if isinstance(owner, Signal):
-            return "signal", site, None
-        return "method", site, None
-
-    # -- results ------------------------------------------------------------
-
-    @property
-    def window_ns(self) -> int:
-        """Wall nanoseconds of the (possibly still open) window."""
-        if self._t_start is not None:
-            return self._window_ns + self.clock() - self._t_start
-        return self._window_ns
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+            self._window_ns += time.perf_counter_ns() - start
 
     def report(self, label: str = "") -> ProfileReport:
-        """Snapshot the buckets into a rankable report."""
-        entries = [ProfileEntry(component, kind, site, calls, wall_ns)
-                   for (component, kind, site), (calls, wall_ns)
-                   in self._buckets.items()]
-        return ProfileReport(entries, self.window_ns, self.engines,
-                             label=label)
-
-    def clear(self) -> None:
-        """Drop all buckets, the window, and the engine count."""
-        self._buckets.clear()
-        self._sites.clear()
-        self._window_ns = 0
-        self._t_start = None
-        self._last_ns = None
-        self.engines = 0
+        """Snapshot the samples into a rankable report."""
+        return ProfileReport(dict(self._counts), self._window_ns, label=label)

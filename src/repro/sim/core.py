@@ -29,10 +29,10 @@ experiment byte-for-byte):
 * ``"fast"`` (the default) — the production path: a FIFO ready deque as
   the *now bucket* for :meth:`Engine.call_soon` (the dominant scheduling
   call — every signal fire lands there and never needs heap ordering), the
-  heap only for future timers, fused dispatch loops in
-  :meth:`Engine.run` / :meth:`Engine.run_process`, and a batch-advance
-  trampoline in :class:`Process` that keeps a resumed coroutine on the
-  stack whenever its wakeup is provably the next event.
+  heap only for future timers, one fused dispatch loop shared by
+  :meth:`Engine.run`'s unbounded drain and :meth:`Engine.run_process`,
+  and a batch-advance trampoline in :class:`Process` that keeps a resumed
+  coroutine on the stack whenever its wakeup is provably the next event.
 
 The default comes from the ``TCA_SIM_DISPATCH`` environment variable and
 can be changed per-call-tree with :func:`set_default_dispatch` /
@@ -60,6 +60,19 @@ DISPATCH_MODES = ("fast", "reference")
 #: experiments reach, so the batch-advance clock check is a plain integer
 #: compare instead of a ``None`` test on the hot path.
 _NO_HORIZON = 1 << 200
+
+
+class _Forever:
+    """Never-done stand-in process: :meth:`Engine.run`'s unbounded drain
+    is the shared fused loop waiting on a process that never finishes."""
+
+    __slots__ = ("done",)
+
+    def __init__(self) -> None:
+        self.done = False
+
+
+_UNTIL_DRAINED = _Forever()
 
 _default_dispatch = os.environ.get("TCA_SIM_DISPATCH", "fast")
 if _default_dispatch not in DISPATCH_MODES:
@@ -271,9 +284,8 @@ class Process:
         counted.  Because every observable the scheduler maintains
         (``(time, sequence)`` order, ``events_processed``, ``now_ps`` at
         each resume) is preserved, a batched run is bit-identical to the
-        reference scheduler by construction.  Batching is disabled when a
-        profiler wants per-event records or a ``max_events`` bound is
-        counting steps (see :attr:`Engine._batch`).
+        reference scheduler by construction.  Batching is disabled while a
+        ``max_events`` bound is counting steps (see :attr:`Engine._batch`).
         """
         engine = self.engine
         generator = self.generator
@@ -425,12 +437,10 @@ class Engine:
         self._cancelled: Set[int] = set()
         self.events_processed = 0
         #: Batch-advance gate for the :class:`Process` trampoline: true
-        #: only when this is a fast-dispatch engine, no profiler wants
-        #: per-event records, and no ``max_events`` bound is counting
-        #: individual steps.  Kept as one precomputed flag so the
-        #: trampoline check is a single attribute load.
+        #: only when this is a fast-dispatch engine and no ``max_events``
+        #: bound is counting individual steps.  Kept as one precomputed
+        #: flag so the trampoline check is a single attribute load.
         self._batch = self.fast_dispatch
-        self._batch_inhibit = False
         #: Clock bound for batch-advance; ``run(until_ps=...)`` lowers it
         #: so a batched delay never carries the clock past the bound.
         self._horizon = _NO_HORIZON
@@ -446,13 +456,6 @@ class Engine:
         #: (the default) every fault path is skipped entirely, so an
         #: un-faulted run is picosecond-identical to an unhooked one.
         self.faults = None
-        #: Optional dispatch profiler (repro.obs.profile.EngineProfiler),
-        #: held behind a property: installing one routes :meth:`step`
-        #: through the timed dispatch body *and* turns batch-advance off
-        #: so every event gets its own attribution record.  The event
-        #: order is identical either way (profiling is wall-clock
-        #: bookkeeping only — it never touches simulated time).
-        self._profiler = None
         for callback in list(_engine_observers):
             callback(self)
 
@@ -460,22 +463,6 @@ class Engine:
         """Emit a trace event if a tracer is installed (cheap when not)."""
         if self.tracer is not None:
             self.tracer.emit(self._now_ps, component, kind, **detail)
-
-    # -- dispatch-mode plumbing --------------------------------------------
-
-    @property
-    def profiler(self):
-        """The installed :class:`~repro.obs.profile.EngineProfiler` or None."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        self._refresh_batch()
-
-    def _refresh_batch(self) -> None:
-        self._batch = (self.fast_dispatch and self._profiler is None
-                       and not self._batch_inhibit)
 
     # -- time --------------------------------------------------------------
 
@@ -569,8 +556,6 @@ class Engine:
         may execute more than one *event* when batch-advance is active —
         ``events_processed`` is the authoritative event count.
         """
-        if self._profiler is not None:
-            return self._step_profiled()
         ready = self._ready
         heap = self._heap
         cancelled = self._cancelled
@@ -591,43 +576,6 @@ class Engine:
             self._now_ps = time_ps
             self.events_processed += 1
             callback(*args)
-            return True
-
-    def _step_profiled(self) -> bool:
-        """The :meth:`step` body with wall-clock dispatch timing.
-
-        A deliberate copy of :meth:`step` (same pop logic, same event
-        order) so the unprofiled hot path pays nothing beyond the single
-        ``profiler is not None`` check.  The whole step — queue pop plus
-        callback — is attributed to the callback, so the only dispatch
-        time a profiled run cannot attribute is the ``run()`` loop frame
-        itself.  Batch-advance is off whenever a profiler is installed
-        (see :attr:`profiler`), so every event gets its own record.
-        """
-        profiler = self._profiler
-        clock = profiler.clock
-        ready = self._ready
-        heap = self._heap
-        cancelled = self._cancelled
-        t0 = clock()
-        while True:
-            if ready and (not heap or heap[0][0] > self._now_ps
-                          or heap[0][1] > ready[0][0]):
-                seq, callback, args = ready.popleft()
-                time_ps = self._now_ps
-            elif heap:
-                time_ps, seq, callback, args = heapq.heappop(heap)
-            else:
-                if cancelled:
-                    cancelled.clear()
-                return False
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now_ps = time_ps
-            self.events_processed += 1
-            callback(*args)
-            profiler.record(callback, t0, clock())
             return True
 
     def run(self, until_ps: Optional[int] = None,
@@ -642,35 +590,7 @@ class Engine:
         clock at the last processed event.
         """
         if until_ps is None and max_events is None:
-            # Unbounded drain — the hot case.  Fused dispatch loop: the
-            # step() body inlined with the queues bound to locals, one
-            # Python frame for the whole run instead of one per event.
-            if self._profiler is None:
-                ready = self._ready
-                heap = self._heap
-                cancelled = self._cancelled
-                pop_ready = ready.popleft
-                heappop = heapq.heappop
-                while True:
-                    if ready and (not heap or heap[0][0] > self._now_ps
-                                  or heap[0][1] > ready[0][0]):
-                        seq, callback, args = pop_ready()
-                        time_ps = self._now_ps
-                    elif heap:
-                        time_ps, seq, callback, args = heappop(heap)
-                    else:
-                        break
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    self._now_ps = time_ps
-                    self.events_processed += 1
-                    callback(*args)
-                if cancelled:
-                    cancelled.clear()
-                return self._now_ps
-            while self.step():
-                pass
+            self._drain(_UNTIL_DRAINED)
             return self._now_ps
         # Bounded run.  An until_ps bound lowers the batch-advance horizon
         # so a batched delay cannot carry the clock past it; a max_events
@@ -679,8 +599,7 @@ class Engine:
         if until_ps is not None:
             self._horizon = until_ps
         if max_events is not None:
-            self._batch_inhibit = True
-            self._refresh_batch()
+            self._batch = False
         try:
             processed = 0
             while True:
@@ -710,8 +629,7 @@ class Engine:
             if until_ps is not None:
                 self._horizon = _NO_HORIZON
             if max_events is not None:
-                self._batch_inhibit = False
-                self._refresh_batch()
+                self._batch = self.fast_dispatch
 
     def run_process(self, generator: ProcessGen, name: str = "") -> Any:
         """Start a process and run the engine until it completes.
@@ -719,39 +637,45 @@ class Engine:
         This is the main entry point for "measure one transfer" experiments.
         """
         proc = self.process(generator, name)
-        if self._profiler is None:
-            # Fused dispatch loop; see run() for the rationale.
-            ready = self._ready
-            heap = self._heap
-            cancelled = self._cancelled
-            pop_ready = ready.popleft
-            heappop = heapq.heappop
-            while not proc.done:
-                if ready and (not heap or heap[0][0] > self._now_ps
-                              or heap[0][1] > ready[0][0]):
-                    seq, callback, args = pop_ready()
-                    time_ps = self._now_ps
-                elif heap:
-                    time_ps, seq, callback, args = heappop(heap)
-                else:
-                    raise SimulationError(
-                        f"deadlock: process {proc.name!r} is still waiting "
-                        "but no events remain")
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                self._now_ps = time_ps
-                self.events_processed += 1
-                callback(*args)
-        else:
-            while not proc.done:
-                if not self.step():
-                    raise SimulationError(
-                        f"deadlock: process {proc.name!r} is still waiting "
-                        "but no events remain")
+        self._drain(proc)
         if proc.error is not None:
             raise proc.error
         return proc.result
+
+    def _drain(self, proc: Any) -> None:
+        """The fused dispatch loop: run events until ``proc`` is done.
+
+        The :meth:`step` body inlined with the queues bound to locals —
+        one Python frame for the whole run instead of one per event.
+        Queues draining first is the normal end of an unbounded
+        :meth:`run` (``proc`` is the never-done :data:`_UNTIL_DRAINED`)
+        and a deadlock for :meth:`run_process`.
+        """
+        ready = self._ready
+        heap = self._heap
+        cancelled = self._cancelled
+        pop_ready = ready.popleft
+        heappop = heapq.heappop
+        while not proc.done:
+            if ready and (not heap or heap[0][0] > self._now_ps
+                          or heap[0][1] > ready[0][0]):
+                seq, callback, args = pop_ready()
+                time_ps = self._now_ps
+            elif heap:
+                time_ps, seq, callback, args = heappop(heap)
+            else:
+                cancelled.clear()
+                if proc is _UNTIL_DRAINED:
+                    return
+                raise SimulationError(
+                    f"deadlock: process {proc.name!r} is still waiting "
+                    "but no events remain")
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            self._now_ps = time_ps
+            self.events_processed += 1
+            callback(*args)
 
 
 def all_of(engine: Engine, waitables: Iterable[Any]) -> Signal:

@@ -8,13 +8,13 @@ the ring; ties (the antipodal node of an even ring) break toward E.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigError
 from repro.peach2.registers import PortCode, RouteEntry
 from repro.tca.address_map import TCAAddressMap
-from repro.tca.fabric import (FabricCut, TorusGeometry, _runs as _fabric_runs,
-                              entries_for, fabric_route_entries)
+from repro.tca.fabric import (FabricCut, TorusGeometry, entries_for,
+                              fabric_route_entries)
 
 
 def ring_hop_count(num_nodes: int, src_pos: int, dst_pos: int) -> int:
@@ -63,20 +63,6 @@ def ring_neighbor(ring_ids: Sequence[int], node_id: int,
     position = list(ring_ids).index(node_id)
     step = 1 if direction == PortCode.E else -1
     return ring_ids[(position + step) % len(ring_ids)]
-
-
-#: Backwards-compatible private alias (pre-collectives callers).
-_direction = ring_direction
-
-
-#: Shared with the fabric builder; kept under the old names for callers
-#: that imported them from here.
-_entries_for = entries_for
-
-
-def _runs(sorted_ids: Sequence[int]) -> List[Tuple[int, int]]:
-    """Collapse sorted node ids into inclusive (first, last) runs."""
-    return _fabric_runs(sorted_ids)
 
 
 def ring_route_entries(address_map: TCAAddressMap, node_id: int,

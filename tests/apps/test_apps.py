@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps.allgather import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.pingpong import pingpong_rtt_ns
+from repro.collectives import ring_allgather
 from repro.errors import ConfigError
 from repro.hw.node import NodeParams
 from repro.tca.subcluster import TCASubCluster

@@ -220,7 +220,7 @@ class TestDashboard:
                                   "paper": 1.0, "measured": 1.0,
                                   "status": "pass"}]}
         profiles = {"fig9": {"hotspots": [
-            {"component": "flow", "kind": "process", "calls": 10,
+            {"layer": "sim", "samples": 10, "share": 0.25,
              "wall_ns": 5_000_000,
              "site": "repro.sim.core.Process._step"}]}}
         full = render_dashboard(history=self._history(),

@@ -137,6 +137,62 @@ def test_sigterm_flushes_partial_report_and_exits_cleanly(tmp_path):
     assert '"t":"interrupt"' in journal_text
 
 
+# -- orphaned fork workers exit when their supervisor is SIGKILLed --------------------
+
+_IDLE_SUPERVISOR = """
+import sys, time
+sys.path.insert(0, {src!r})
+from repro.bench.jobs import Job, JobScheduler
+
+def on_event(kind, info):
+    if kind == "worker-spawn":
+        print(info["pid"], flush=True)
+
+# Jobs that never become eligible: both workers sit idle in recv().
+jobs = [Job(name=n, eid="E3", key=n * 64, mode="tiny", seed=0,
+            not_before=time.monotonic() + 3600) for n in "ab"]
+JobScheduler(jobs, lambda *args: None, workers=2, on_event=on_event).run()
+"""
+
+
+def _running(pid):
+    """Alive and not a zombie (an orphan's reaper may be slow)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process state from /proc")
+def test_workers_exit_when_supervisor_is_sigkilled():
+    """Each fork worker used to inherit the supervisor's ends of its own
+    pipes (and of every older sibling's), so a SIGKILLed supervisor left
+    workers blocked in recv() forever, reparented to init."""
+    pids = []
+    with subprocess.Popen(
+            [sys.executable, "-c", _IDLE_SUPERVISOR.format(src=SRC)],
+            stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            pids = [int(proc.stdout.readline()) for _ in range(2)]
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            proc.kill()
+            for pid in pids:
+                if _running(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+
+
 # -- satellite: atomic writes survive a writer killed mid-write -----------------------
 
 _WRITER = """

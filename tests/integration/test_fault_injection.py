@@ -53,7 +53,7 @@ def test_traffic_in_flight_when_cable_dies():
 
 def test_heal_then_full_collectives():
     """After healing, a whole allgather still self-checks."""
-    from repro.apps.allgather import ring_allgather
+    from repro.collectives import ring_allgather
 
     cluster = TCASubCluster(4, node_params=NodeParams(num_gpus=1))
     cluster.cut_ring_cable(2)
