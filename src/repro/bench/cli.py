@@ -26,7 +26,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.bench import experiments
 from repro.bench.experiments import REGISTRY
@@ -45,6 +45,34 @@ EXPERIMENTS: Dict[str, Callable[[], object]] = {
     "validate": lambda: _validate(),
     "perf": lambda: _perf(),
 }
+
+
+#: The sweeps whose points ``--engine-workers`` spreads over fork workers.
+MULTI_ENGINE = ("fig7", "fig9")
+
+
+def _engine_workers_problem(args) -> Optional[str]:
+    """Why ``--engine-workers`` cannot apply to this command, if it can't.
+
+    Fork workers run their engines out of the parent's sight: traces,
+    metrics and fault injection would silently miss them, so those
+    combinations are refused rather than half-honoured.
+    """
+    workers = args.engine_workers
+    if workers < 0:
+        return f"--engine-workers must be >= 0, got {workers}"
+    if workers <= 1:
+        return None
+    if args.experiment not in MULTI_ENGINE + ("all",):
+        return ("--engine-workers > 1 applies only to "
+                + ", ".join(MULTI_ENGINE) + " and all")
+    for flag, value in (("--trace", args.trace),
+                        ("--metrics", args.metrics),
+                        ("--fault-plan", args.fault_plan)):
+        if value:
+            return (f"--engine-workers > 1 cannot be combined with {flag}:"
+                    " fork workers are not observed; run inline")
+    return None
 
 
 def _perf():
@@ -388,12 +416,12 @@ def main(argv=None) -> int:
                              "a preset (none, flaky-links, lost-irq, chaos),"
                              " optionally NAME:SEED, or a JSON plan file "
                              "(see docs/robustness.md)")
-    parser.add_argument("--engine-workers", type=int, default=None,
+    parser.add_argument("--engine-workers", type=int, default=1,
                         metavar="N",
-                        help="run multi-engine sweeps (fig7, fig9) across "
-                             "N fork workers; output stays byte-identical "
-                             "to the inline run (default: "
-                             "TCA_ENGINE_WORKERS or inline)")
+                        help="with fig7, fig9 or all: measure the sweep "
+                             "points on N fork workers; output stays "
+                             "byte-identical to the inline run "
+                             "(default 1, inline)")
     parser.add_argument("--bench-json", metavar="PATH", default=None,
                         help="with the 'perf' experiment: write the "
                              "wall-clock benchmark document to PATH "
@@ -529,14 +557,10 @@ def main(argv=None) -> int:
                                    "'perf --profile --json' (hotspots)")
     args = parser.parse_args(argv)
 
-    if args.engine_workers is not None:
-        from repro.sim.executor import set_default_workers
-
-        try:
-            set_default_workers(args.engine_workers)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    problem = _engine_workers_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
 
     if args.list or args.experiment is None:
         print("available experiments:")
@@ -602,7 +626,12 @@ def main(argv=None) -> int:
             stack.enter_context(faults.session())
         for name in names:
             try:
-                results[name] = EXPERIMENTS[name]()
+                if name in MULTI_ENGINE:
+                    spec = REGISTRY[name]
+                    results[name] = spec.fn(**spec.params_for("full"),
+                                            workers=args.engine_workers)
+                else:
+                    results[name] = EXPERIMENTS[name]()
             except ReproError as exc:
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 return 1

@@ -9,12 +9,15 @@ whose ``render()`` matches the paper's rows/series.  The CLI
 
 from __future__ import annotations
 
+import json
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.baselines.ntb import NTBPair
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.baselines.paths import (ConventionalPath, GDRPath, MPIHostPath,
                                    PathResult, TCADMAPath, TCAPIOPath,
                                    VerbsPath)
@@ -68,11 +71,9 @@ def theory() -> Dict[str, float]:
 def _measure_point(task: Tuple[str, str, int, int]) -> float:
     """One ``(op, target, size, count)`` bandwidth point on a fresh rig.
 
-    Module level (not a closure) so fork workers report it by name and a
-    spawn-based platform could still pickle it.  Every call builds its
-    own :class:`SingleNodeRig` — its own engine — so points are fully
-    independent: any execution order, thread or process yields the same
-    picosecond results.
+    Every call builds its own :class:`SingleNodeRig` — its own engine —
+    so points are fully independent: any execution order or process
+    yields the same picosecond results.
     """
     op, target, size, count = task
     rig = SingleNodeRig()
@@ -87,24 +88,55 @@ def _point_cost(task: Tuple[str, str, int, int]) -> float:
     return float(size) * count
 
 
-def _measure_points(tasks, workers):
-    """Run measurement points, optionally across fork workers.
+def _point_job(tasks: Sequence[Tuple[str, str, int, int]], name: str,
+               mode: str, seed: int) -> Tuple[str, float]:
+    """Scheduler runner for one sweep point: job ``name`` is the point's
+    index into ``tasks``.  Module level, bound with ``functools.partial``,
+    so it pickles for a spawn-based pool too; the payload is the
+    bandwidth as JSON, which round-trips floats exactly."""
+    start = time.perf_counter()
+    bw = _measure_point(tasks[int(name)])
+    return json.dumps(bw), time.perf_counter() - start
 
-    ``workers=None`` defers to the executor's environment default
-    (``TCA_ENGINE_WORKERS``); an effective count of one runs the
-    historical inline loop.  Results arrive in task order either way,
-    so the sweep tables are byte-identical for every worker count.
+
+def _measure_points(tasks: Sequence[Tuple[str, str, int, int]],
+                    workers: int) -> List[float]:
+    """Run measurement points inline, or as jobs on the supervised pool.
+
+    ``workers <= 1`` is a plain loop.  Otherwise every point is one
+    :class:`~repro.bench.jobs.Job` on a
+    :class:`~repro.bench.jobs.JobScheduler`, handed out heaviest first;
+    a worker that dies has its point requeued on the survivors.  Results
+    are read back in task order, so the sweep tables are byte-identical
+    for every worker count.
     """
-    from repro.sim.executor import MultiEngineExecutor
+    if workers <= 1:
+        return [_measure_point(task) for task in tasks]
+    from repro.bench.jobs import DONE, Job, JobScheduler
 
-    return MultiEngineExecutor(workers).map(_measure_point, tasks,
-                                            cost=_point_cost)
+    # A point is deterministic: one that raises would raise again, so it
+    # gets one attempt.  Worker deaths are requeues, not attempts.
+    jobs = [Job(name=str(i), eid="", key="", mode="", seed=0,
+                cost_s=_point_cost(task), max_attempts=1)
+            for i, task in enumerate(tasks)]
+    outcome = JobScheduler(jobs, partial(_point_job, tasks),
+                           workers=workers).run()
+    if outcome.interrupted:
+        raise KeyboardInterrupt
+    for job, (op, target, size, count) in zip(jobs, tasks):
+        if job.state != DONE:
+            raise SimulationError(
+                f"sweep point {op} {target} {size} B x{count} failed: "
+                f"{job.error}")
+    return [json.loads(job.payload_json) for job in jobs]
 
 
 def fig7(sizes: Sequence[int] = FIG7_SIZES,
          count: int = PAPER_BURST,
-         workers: Optional[int] = None) -> SweepTable:
-    """Data size vs bandwidth, PEACH2 <-> CPU/GPU, 255 chained DMAs."""
+         workers: int = 1) -> SweepTable:
+    """Data size vs bandwidth, PEACH2 <-> CPU/GPU, 255 chained DMAs.
+
+    ``workers > 1`` measures the points on that many fork workers."""
     table = SweepTable(f"Fig. 7: data size vs bandwidth ({count} chained DMAs)")
     tasks = [(op, target, size, count)
              for op in ("write", "read")
@@ -134,8 +166,10 @@ def fig8(sizes: Sequence[int] = FIG8_SIZES) -> SweepTable:
 
 def fig9(counts: Sequence[int] = FIG9_COUNTS,
          size: int = 4 * KiB,
-         workers: Optional[int] = None) -> SweepTable:
-    """Number of DMA requests vs bandwidth at a fixed 4-KB data size."""
+         workers: int = 1) -> SweepTable:
+    """Number of DMA requests vs bandwidth at a fixed 4-KB data size.
+
+    ``workers > 1`` measures the points on that many fork workers."""
     table = SweepTable("Fig. 9: DMA request count vs bandwidth (4 Kbytes)",
                        x_label="requests", x_is_size=False)
     tasks = [(op, target, size, count)

@@ -135,38 +135,10 @@ def default_deadline_s(cost_s: float) -> float:
     return max(DEADLINE_FLOOR_S, cost_s * DEADLINE_FACTOR)
 
 
-def lpt_shards(costs: Sequence[float], shards: int,
-               tiebreak: Optional[Sequence[Any]] = None) -> List[List[int]]:
-    """Deterministic longest-processing-time-first shard assignment.
-
-    Items (identified by index into ``costs``) are assigned to the
-    least-loaded shard in decreasing-cost order — the classic LPT
-    heuristic, within 4/3 of the optimal makespan.  ``tiebreak`` (any
-    per-item sortable key, defaulting to the index itself) makes the
-    assignment a pure function of its inputs, so replayed and resumed
-    runs shard identically.  Used both by the suite's entry partitioner
-    (:func:`repro.bench.suite.partition`) and the multi-engine executor
-    (:class:`repro.sim.executor.MultiEngineExecutor`).
-
-    Returns ``shards`` index buckets (clamped to ``len(costs)`` so no
-    bucket is empty unless there are no items at all).
-    """
-    count = len(costs)
-    shards = max(1, min(shards, count) if count else 1)
-    keys = tiebreak if tiebreak is not None else range(count)
-    order = sorted(range(count), key=lambda i: (-costs[i], keys[i]))
-    loads = [0.0] * shards
-    buckets: List[List[int]] = [[] for _ in range(shards)]
-    for i in order:
-        target = min(range(shards), key=lambda s: (loads[s], s))
-        buckets[target].append(i)
-        loads[target] += costs[i]
-    return buckets
-
-
 @dataclass
 class Job:
-    """One suite entry moving through the supervised state machine."""
+    """One suite entry or sweep point moving through the supervised
+    state machine."""
 
     name: str
     eid: str
@@ -480,12 +452,14 @@ _JOURNALED_EVENTS = frozenset({"worker-spawn", "worker-kill",
 class JobScheduler:
     """Supervise a pool of fork workers over a set of :class:`Job`\\ s.
 
-    Pull scheduling subsumes static sharding: eligible pending jobs are
-    kept in LPT order (largest cost hint first) and handed to whichever
-    worker is idle, so when a worker dies the remainder is re-shared
-    across the survivors automatically — the LPT re-shard of what is
-    left.  A fresh worker is spawned only when the pool would otherwise
-    be empty.
+    The one fork pool of the package: it runs the suite's cold entries
+    (``tca-bench suite --shards N``) and the points of the Fig. 7/9
+    sweeps (``tca-bench fig7 --engine-workers N``).  Eligible pending
+    jobs are kept in LPT order (largest cost hint first, then name) and
+    handed to whichever worker is idle, so when a worker dies the
+    remainder is re-shared across the survivors automatically — the LPT
+    re-shard of what is left.  A fresh worker is spawned only when the
+    pool would otherwise be empty.
     """
 
     def __init__(self, jobs: Sequence[Job],

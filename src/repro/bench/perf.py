@@ -148,16 +148,11 @@ class PerfReport:
 def _timed(fn: Callable[[], object], instrumented: bool) -> PerfSample:
     """Run ``fn`` once, collecting every engine it constructs.
 
-    Engines built in this process are seen by the observer hook; engines
-    built inside fork workers (``TCA_ENGINE_WORKERS`` > 1) are invisible
-    here, so their ``(events, engines)`` tally is drained from the
-    executor instead — the two sources are disjoint by construction.
+    Every perf experiment runs its sweep inline, so the observer hook
+    sees each engine the run builds.
     """
-    from repro.sim import executor as engine_executor
-
     engines: List[Engine] = []
     collect = engines.append
-    engine_executor.consume_stats()  # drop any stale pre-run tally
     register_engine_observer(collect)
     try:
         if instrumented:
@@ -174,12 +169,10 @@ def _timed(fn: Callable[[], object], instrumented: bool) -> PerfSample:
             wall = time.perf_counter() - start
     finally:
         unregister_engine_observer(collect)
-    worker_events, worker_engines = engine_executor.consume_stats()
     return PerfSample(
         experiment="", mode="instrumented" if instrumented else "bare",
-        wall_s=wall,
-        events=sum(e.events_processed for e in engines) + worker_events,
-        engines=len(engines) + worker_engines)
+        wall_s=wall, events=sum(e.events_processed for e in engines),
+        engines=len(engines))
 
 
 def run_perf(names: Optional[Sequence[str]] = None) -> PerfReport:

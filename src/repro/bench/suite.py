@@ -8,7 +8,7 @@ caches every result in a content-addressed store
 the single source of truth for "does this repo still reproduce the
 paper":
 
-* **Sharding** — entries are partitioned over ``--shards N`` worker
+* **Sharding** — entries are pulled by ``--shards N`` worker
   processes (longest-processing-time first, by each entry's cost hint),
   each worker seeding ``random``/``numpy`` deterministically per entry.
 * **Caching** — the cache key covers the entry name, its exact
@@ -38,7 +38,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.bench.cache import (ResultCache, cache_key, canonical_json,
 from repro.bench.experiments import EXPERIMENT_IDS, REGISTRY, ExperimentSpec
 from repro.bench.jobs import (DEFAULT_MAX_ATTEMPTS, DONE, FAILED, Job,
                               JobScheduler, Journal, default_deadline_s,
-                              lpt_shards, new_run_id, run_job_inline)
+                              new_run_id, run_job_inline)
 from repro.errors import ConfigError
 from repro.model.anchors import ANCHORS, AnchorCheck, calibration_fingerprint
 from repro.units import pretty_size
@@ -85,18 +85,6 @@ def run_entry(name: str, mode: str, seed: int) -> Tuple[str, float]:
     start = time.perf_counter()
     result = spec.run(mode)
     return payload_json(result), time.perf_counter() - start
-
-
-def partition(names: Sequence[str], shards: int) -> List[List[str]]:
-    """Deterministic longest-processing-time-first shard assignment.
-
-    Delegates to :func:`repro.bench.jobs.lpt_shards` with registry cost
-    hints and the entry name as the equal-cost tiebreak (the historical
-    ordering, kept so resumed journals shard the same way).
-    """
-    buckets = lpt_shards([REGISTRY[n].cost_s for n in names], shards,
-                         tiebreak=names)
-    return [[names[i] for i in bucket] for bucket in buckets]
 
 
 @dataclass
@@ -281,12 +269,13 @@ def _resume_state(journal_dir: Path, run_id: str):
 def _make_jobs(cold: Sequence[str], keys: Dict[str, str], mode: str,
                seed: int, max_attempts: int,
                chaos: Optional[Dict[str, Dict[str, float]]]) -> List[Job]:
-    """Cold entries as supervised jobs, LPT order preserved."""
+    """Cold entries as supervised jobs in LPT order: largest cost hint
+    first, then name — the order :class:`JobScheduler` hands them out."""
     chaos = chaos or {}
     deadline_over = chaos.get("deadline_s", {})
     hang = chaos.get("hang_s", {})
     jobs = []
-    for name in partition(cold, 1)[0]:
+    for name in sorted(cold, key=lambda n: (-REGISTRY[n].cost_s, n)):
         spec = REGISTRY[name]
         jobs.append(Job(
             name=name, eid=spec.eid, key=keys[name], mode=mode, seed=seed,
@@ -574,13 +563,6 @@ def _sweep_columns(payload: Dict[str, object],
     return _md_table([x_header] + [head for _, head in columns], rows)
 
 
-def _md_fig7(p):
-    return _sweep_columns(p, [("CPU (write)", "CPU write"),
-                              ("CPU (read)", "CPU read"),
-                              ("GPU (write)", "GPU write"),
-                              ("GPU (read)", "GPU read")])
-
-
 def _md_fig9(p):
     points = dict(p["series"]["CPU (write)"])
     counts = sorted(points)
@@ -622,78 +604,52 @@ def _md_latency(p):
           f"{p['pio_one_way_ns']:g} < {p['infiniband_fdr_claim_ns']:g} ✓"]])
 
 
-def _md_fig12(p):
-    return _sweep_columns(p, [("remote CPU", "remote CPU"),
-                              ("local CPU (write)", "local CPU"),
-                              ("remote GPU", "remote GPU"),
-                              ("local GPU (write)", "local GPU")])
-
-
-def _md_crossover(p):
-    return _sweep_columns(p, [("tca-pio", "PIO (µs)"),
-                              ("tca-dma", "DMA (µs)")], fmt="{:.3g}")
-
-
-def _md_hierarchy(p):
-    return _sweep_columns(p, [("local (TCA)", "local put (TCA)"),
-                              ("global (IB)", "global put (IB)")],
-                          fmt="{:.4g} µs")
-
-
-def _md_collectives(p):
-    return _sweep_columns(p, [("tca", "TCA"), ("mpi-ib", "MPI over IB")],
-                          x_header="block", fmt="{:.4g} µs")
-
-
-def _md_contention(p):
-    return _sweep_columns(p, [("4-node ring", "4-node"),
-                              ("8-node ring", "8-node"),
-                              ("16-node ring", "16-node")],
-                          x_header="hop distance", x_is_size=False,
-                          fmt="{:.2f}")
-
-
-def _md_collective_allreduce(p):
-    return _sweep_columns(p, [("tca", "TCA"), ("mpi-ib", "MPI over IB")],
-                          x_header="vector", fmt="{:.4g} µs")
-
-
-def _md_collective_dual_ring(p):
-    return _sweep_columns(p, [("single-ring", "single ring"),
-                              ("dual-ring", "dual ring")],
-                          x_header="vector", fmt="{:.4g} µs")
-
-
-def _md_collective_torus(p):
-    return _sweep_columns(p, [("ring", "ring (µs)"),
-                              ("torus", "torus (µs)"),
-                              ("ring steps", "ring steps"),
-                              ("torus steps", "torus steps")],
-                          x_header="nodes", x_is_size=False, fmt="{:.4g}")
-
-
-def _md_bisection(p):
-    return _sweep_columns(p, [("ring", "ring (GB/s)"),
-                              ("torus", "torus (GB/s)")],
-                          x_header="nodes", x_is_size=False, fmt="{:.2f}")
-
-
-#: Registry entry name -> EXPERIMENTS.md table renderer.
-MD_RENDERERS: Dict[str, Callable[[Dict[str, object]], str]] = {
+#: Registry entry name -> EXPERIMENTS.md table: a renderer function, or
+#: the keyword arguments of a :func:`_sweep_columns` table, whose
+#: ``columns`` are ``(series label, column header)`` pairs.
+MD_RENDERERS: Dict[str, Union[Callable[[Dict[str, object]], str],
+                              Dict[str, object]]] = {
     "theory": _md_theory,
-    "fig7": _md_fig7,
+    "fig7": {"columns": [("CPU (write)", "CPU write"),
+                         ("CPU (read)", "CPU read"),
+                         ("GPU (write)", "GPU write"),
+                         ("GPU (read)", "GPU read")]},
     "fig9": _md_fig9,
     "limits": _md_limits,
     "latency": _md_latency,
-    "fig12": _md_fig12,
-    "pio-dma-crossover": _md_crossover,
-    "hierarchy": _md_hierarchy,
-    "collectives": _md_collectives,
-    "contention": _md_contention,
-    "collective-allreduce": _md_collective_allreduce,
-    "collective-dual-ring": _md_collective_dual_ring,
-    "collective-torus": _md_collective_torus,
-    "bisection": _md_bisection,
+    "fig12": {"columns": [("remote CPU", "remote CPU"),
+                          ("local CPU (write)", "local CPU"),
+                          ("remote GPU", "remote GPU"),
+                          ("local GPU (write)", "local GPU")]},
+    "pio-dma-crossover": {"columns": [("tca-pio", "PIO (µs)"),
+                                      ("tca-dma", "DMA (µs)")],
+                          "fmt": "{:.3g}"},
+    "hierarchy": {"columns": [("local (TCA)", "local put (TCA)"),
+                              ("global (IB)", "global put (IB)")],
+                  "fmt": "{:.4g} µs"},
+    "collectives": {"columns": [("tca", "TCA"), ("mpi-ib", "MPI over IB")],
+                    "x_header": "block", "fmt": "{:.4g} µs"},
+    "contention": {"columns": [("4-node ring", "4-node"),
+                               ("8-node ring", "8-node"),
+                               ("16-node ring", "16-node")],
+                   "x_header": "hop distance", "x_is_size": False,
+                   "fmt": "{:.2f}"},
+    "collective-allreduce": {"columns": [("tca", "TCA"),
+                                         ("mpi-ib", "MPI over IB")],
+                             "x_header": "vector", "fmt": "{:.4g} µs"},
+    "collective-dual-ring": {"columns": [("single-ring", "single ring"),
+                                         ("dual-ring", "dual ring")],
+                             "x_header": "vector", "fmt": "{:.4g} µs"},
+    "collective-torus": {"columns": [("ring", "ring (µs)"),
+                                     ("torus", "torus (µs)"),
+                                     ("ring steps", "ring steps"),
+                                     ("torus steps", "torus steps")],
+                         "x_header": "nodes", "x_is_size": False,
+                         "fmt": "{:.4g}"},
+    "bisection": {"columns": [("ring", "ring (GB/s)"),
+                              ("torus", "torus (GB/s)")],
+                  "x_header": "nodes", "x_is_size": False,
+                  "fmt": "{:.2f}"},
 }
 
 
@@ -715,7 +671,8 @@ def render_experiments_md(payloads: Dict[str, object],
         if i < 0 or j < 0 or j < i:
             raise ConfigError(
                 f"EXPERIMENTS.md lacks the {begin} ... {end} markers")
-        table = renderer(payloads[name])
+        table = (renderer(payloads[name]) if callable(renderer)
+                 else _sweep_columns(payloads[name], **renderer))
         text = (text[:i + len(begin)] + "\n" + table + "\n" + text[j:])
         updated.append(name)
     return text, updated

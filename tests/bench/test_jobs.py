@@ -225,6 +225,18 @@ def test_scheduler_runs_all_jobs():
     assert outcome.counters["workers_spawned"] == 2
 
 
+def test_scheduler_breaks_equal_cost_ties_by_name():
+    # One worker runs jobs in hand-out order: largest cost hint first,
+    # then the name among equal costs.
+    jobs = [_job(name, key=f"{name:0<64}"[:64], cost_s=cost)
+            for name, cost in [("zeta", 0.1), ("alpha", 0.1),
+                               ("mid", 0.1), ("heavy", 0.5)]]
+    outcome = JobScheduler(jobs, _ok_runner, workers=1).run()
+    assert outcome.ok
+    assert outcome.worker_walls[0]["entries"] == [
+        "heavy", "alpha", "mid", "zeta"]
+
+
 def test_scheduler_requeues_after_worker_death(tmp_path):
     jobs = _three_jobs()
     events = []

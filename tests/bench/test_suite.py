@@ -12,8 +12,9 @@ import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.experiments import REGISTRY
-from repro.bench.suite import (SCHEMA, SuiteReport, check_anchors,
-                               partition, render_experiments_md, run_suite)
+from repro.bench.suite import (MD_RENDERERS, SCHEMA, SuiteReport,
+                               _make_jobs, check_anchors,
+                               render_experiments_md, run_suite)
 from repro.errors import ConfigError
 
 CHEAP = ["table1", "table2", "theory", "latency", "ablation-ntb"]
@@ -61,17 +62,26 @@ class TestSharding:
         assert len(sharded.shard_walls) == 2
         covered = [n for w in sharded.shard_walls for n in w["entries"]]
         assert sorted(covered) == sorted(CHEAP)
+        # Cold entries run largest cost hint first, then by name; CHEAP
+        # share one cost hint, so the name breaks every tie.
+        assert len({REGISTRY[n].cost_s for n in CHEAP}) == 1
+        assert inline.shard_walls[0]["entries"] == sorted(CHEAP)
 
     def test_partition_is_deterministic_and_complete(self):
+        # Every cold entry becomes exactly one job, in one order whatever
+        # the order the entries were named in.
         names = list(REGISTRY)
-        a = partition(names, 4)
-        b = partition(names, 4)
-        assert a == b
-        assert sorted(n for bucket in a for n in bucket) == sorted(names)
-        assert all(bucket for bucket in a)
+        keys = {n: n for n in names}
 
-    def test_partition_clamps_to_entry_count(self):
-        assert len(partition(["latency"], 8)) == 1
+        def order(entries):
+            return [job.name for job in _make_jobs(
+                entries, keys, mode="tiny", seed=0, max_attempts=1,
+                chaos=None)]
+
+        a = order(names)
+        assert a == order(list(reversed(names)))
+        assert sorted(a) == sorted(names)
+        assert a == sorted(names, key=lambda n: (-REGISTRY[n].cost_s, n))
 
 
 class TestReport:
@@ -126,6 +136,21 @@ class TestRenderMd:
         assert "stale" not in text
         assert "**782.0 ns**" in text
         assert text.endswith("tail\n")
+
+    @pytest.mark.parametrize("name", [n for n, r in MD_RENDERERS.items()
+                                      if not callable(r)])
+    def test_declarative_tables_fill_every_column(self, name):
+        spec = MD_RENDERERS[name]
+        series = {label: [[64, 1.5], [4096, 2.5]]
+                  for label, _ in spec["columns"]}
+        doc = f"<!-- suite:{name} -->\n<!-- /suite:{name} -->\n"
+        text, updated = render_experiments_md({name: {"series": series}},
+                                              doc)
+        assert updated == [name]
+        header, _, *rows = text.splitlines()[1:-1]
+        heads = [head for _, head in spec["columns"]]
+        assert header.endswith(" | " + " | ".join(heads) + " |")
+        assert len(rows) == 2 and "—" not in "".join(rows)
 
     def test_missing_markers_is_an_error(self):
         report = run_suite(names=["latency"], mode="smoke", cache=None)
