@@ -5,9 +5,9 @@ Shows the programming style TCA enables at the sub-cluster level (§I):
 no explicit MPI — remote memory is just addresses, synchronization is a
 flag store that PCIe ordering guarantees arrives after the data.  The
 ``repro.collectives`` subsystem composes chained-DMA puts into ring
-allgather / reduce-scatter / allreduce / broadcast / barrier, and on a
-dual-ring topology (§III-D) runs a hierarchical allreduce over both
-rings at once (docs/collectives.md).
+allgather / allreduce / broadcast / barrier, and on a dual-ring
+topology (§III-D) runs a hierarchical allreduce over both rings at once
+(docs/collectives.md).
 
 Run:  python examples/ring_collectives.py
 """

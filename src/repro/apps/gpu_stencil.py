@@ -150,11 +150,8 @@ class GPUStencil:
                 if rank == 0:
                     kernel_ps[0] += engine.now_ps - t1
 
-        procs = [engine.process(worker(r), name=f"gpuj{r}")
-                 for r in range(n)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("GPU stencil deadlocked")
+        engine.run_all([engine.process(worker(r), name=f"gpuj{r}")
+                        for r in range(n)], "GPU stencil")
         return GPUStencilStats(iterations, (engine.now_ps - start) / 1e3,
                                exchange_ps[0] / 1e3, kernel_ps[0] / 1e3)
 
@@ -297,10 +294,8 @@ class DualGPUStencil:
         """Run the distributed solve; returns simulated microseconds."""
         engine = self.engine
         start = engine.now_ps
-        procs = [engine.process(self._worker(r, iterations),
-                                name=f"dual{r}")
-                 for r in range(self.cluster.num_nodes)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("dual-GPU stencil deadlocked")
+        engine.run_all([engine.process(self._worker(r, iterations),
+                                       name=f"dual{r}")
+                        for r in range(self.cluster.num_nodes)],
+                       "dual-GPU stencil")
         return (engine.now_ps - start) / 1e6

@@ -30,11 +30,6 @@ class HaloStats:
     total_ns: float
     exchange_ns: float
 
-    @property
-    def exchange_fraction(self) -> float:
-        """Share of wall time spent in halo exchange."""
-        return self.exchange_ns / self.total_ns if self.total_ns else 0.0
-
 
 class HaloExchange2D:
     """A 1-D (column-strip) decomposed 2-D Jacobi solver on the ring."""
@@ -148,11 +143,8 @@ class HaloExchange2D:
                 self._write_grid(rank, grid)
                 yield self.compute_ps_per_cell * interior.size
 
-        procs = [engine.process(worker(rank), name=f"jacobi{rank}")
-                 for rank in range(n)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("halo exchange deadlocked")
+        engine.run_all([engine.process(worker(rank), name=f"jacobi{rank}")
+                        for rank in range(n)], "halo exchange")
         self._iter += iterations
         total_ps = engine.now_ps - start
         return HaloStats(iterations, total_ps / 1000.0,

@@ -10,7 +10,7 @@ from repro.baselines.ib import IBHca, IBLink, IBParams, IBSwitch
 from repro.baselines.mpi import MPIEndpoint, MPIParams, MPIWorld
 from repro.baselines.paths import (ConventionalPath, GDRPath, MPIHostPath,
                                    PathResult, TCADMAPath, TCAPIOPath,
-                                   VerbsPath, build_ib_pair)
+                                   VerbsPath)
 from repro.baselines.ntb import NTBBridge, NTBPair
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "TCADMAPath",
     "TCAPIOPath",
     "PathResult",
-    "build_ib_pair",
     "NTBBridge",
     "NTBPair",
 ]

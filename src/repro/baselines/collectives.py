@@ -1,14 +1,13 @@
 """MPI collectives over the point-to-point stack.
 
 Classic algorithms, enough to compare against the TCA-native collectives
-in :mod:`repro.collectives`: ring allgather, binomial broadcast, and a
-dissemination barrier.  All of them move real bytes through the simulated
-HCAs and fabric.
+in :mod:`repro.collectives`: ring allgather (E18) and ring allreduce
+(E20).  Both move real bytes through the simulated HCAs and fabric; each
+returns its per-rank processes for :meth:`~repro.sim.core.Engine.run_all`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 import numpy as np
@@ -104,64 +103,3 @@ def ring_allreduce_mpi(world: MPIWorld, buffers: List[int], nbytes: int):
             yield recv
 
     return [engine.process(worker(r), name=f"mpi-ar{r}") for r in range(n)]
-
-
-def broadcast_mpi(world: MPIWorld, buffers: List[int], nbytes: int,
-                  root: int = 0):
-    """Binomial-tree broadcast; returns the per-rank processes."""
-    n = len(world.endpoints)
-    engine: Engine = world.endpoints[0].engine
-
-    def vrank(rank: int) -> int:
-        return (rank - root) % n
-
-    def rank_of(v: int) -> int:
-        return (v + root) % n
-
-    def worker(rank: int):
-        v = vrank(rank)
-        # Receive from the parent (clear the lowest set bit).
-        if v != 0:
-            parent = rank_of(v & (v - 1))
-            yield world.rank(rank).irecv(parent, buffers[rank], nbytes,
-                                         tag=77)
-        # Forward to children.
-        mask = 1
-        while mask < n:
-            if v & (mask - 1) == 0 and v | mask != v and v | mask < n:
-                child = rank_of(v | mask)
-                yield world.rank(rank).isend(child, buffers[rank], nbytes,
-                                             tag=77)
-            mask <<= 1
-
-    return [engine.process(worker(r), name=f"mpi-bcast{r}")
-            for r in range(n)]
-
-
-def barrier_mpi(world: MPIWorld, scratch: List[int]):
-    """Dissemination barrier (log2(n) rounds of 1-byte messages)."""
-    n = len(world.endpoints)
-    engine: Engine = world.endpoints[0].engine
-    rounds = max(1, math.ceil(math.log2(n)))
-
-    def worker(rank: int):
-        for k in range(rounds):
-            dist = 1 << k
-            to = (rank + dist) % n
-            frm = (rank - dist) % n
-            send = world.rank(rank).isend(to, scratch[rank], 1,
-                                          tag=2000 + k)
-            recv = world.rank(rank).irecv(frm, scratch[rank] + 64, 1,
-                                          tag=2000 + k)
-            yield send
-            yield recv
-
-    return [engine.process(worker(r), name=f"mpi-bar{r}") for r in range(n)]
-
-
-def run_all(engine: Engine, procs) -> int:
-    """Drive the engine until every collective process finished."""
-    while not all(p.done for p in procs):
-        if not engine.step():
-            raise ConfigError("collective deadlocked")
-    return engine.now_ps

@@ -149,13 +149,6 @@ class NTBPair:
         self.cable.take_down()
         self.hosts_require_reboot = True
 
-    def remote_read(self, nbytes: int = 8, src_offset: int = 0xA000):
-        """Process: node A's CPU reads node B's DRAM through the window
-        (NTBs, unlike PEACH2, do support remote reads)."""
-        data = yield self.node_a.cpu.load(self.ntb_a.window.base + src_offset,
-                                          nbytes)
-        return data
-
     def store_latency_ns(self, payload: int = 0xC0FFEE01,
                          dst_offset: int = 0x9000) -> float:
         """One 4-byte store from node A's CPU into node B's DRAM."""

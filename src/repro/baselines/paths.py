@@ -93,11 +93,6 @@ class _IBPair:
                              for node in self.nodes]
 
 
-def build_ib_pair(**kwargs) -> _IBPair:
-    """Public constructor for a two-node IB testbed."""
-    return _IBPair(**kwargs)
-
-
 class VerbsPath:
     """Raw IB RDMA write, host DRAM to host DRAM.
 

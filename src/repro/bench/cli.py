@@ -13,11 +13,19 @@ tracer and a metrics registry, and the union is exported afterwards — a
 Perfetto-loadable trace-event file and a per-engine metrics document.
 
 ``--fault-plan`` additionally arms a fault-injection plan (see
-:mod:`repro.faults`) on every engine: ``--fault-plan chaos:7`` runs the
-experiments over marginal links with a lost IRQ and a stuck doorbell,
+:mod:`repro.faults`) on every engine: ``--fault-plan chaos:7`` runs an
+experiment over marginal links with a lost IRQ and a stuck doorbell,
 seeded deterministically.  Combined with ``--metrics``, the injected
 fault counts and every recovery counter (replays, NAKs, drops, IRQ
 timeouts) land in the metrics document.
+
+Plans that lose a completion IRQ (``lost-irq``, ``chaos``) deadlock the
+DMA experiments: their rigs drive chains with the plain
+``PEACH2Driver.run_chain``, which waits for the IRQ forever, so
+``fig9`` exits 1 under ``chaos:7`` and ``fig7``, ``fig9``, ``fig12``
+and ``contention`` exit 1 under ``lost-irq:1``.  ``flaky-links`` runs
+them (``fig9 --fault-plan flaky-links:3`` exits 0), and so do
+``latency`` and ``collective-torus`` under ``chaos:7``.
 """
 
 from __future__ import annotations
@@ -109,6 +117,16 @@ def _suite_main(args) -> int:
         print("error: --resume needs the journal; drop --no-journal",
               file=sys.stderr)
         return 2
+    # Read the tables file now: a bad path must not cost a whole run.
+    md_text = None
+    if args.render_md:
+        try:
+            with open(args.render_md, "r", encoding="utf-8") as fh:
+                md_text = fh.read()
+        except OSError as exc:
+            print(f"error: cannot read --render-md file: {exc}",
+                  file=sys.stderr)
+            return 2
     mode = "smoke" if args.smoke else "tiny" if args.tiny else "full"
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     journal_dir = (None if args.no_journal
@@ -167,11 +185,9 @@ def _suite_main(args) -> int:
             return 1
         print(f"conformance report -> {args.report}", file=sys.stderr)
 
-    if args.render_md and not report.interrupted:
+    if md_text is not None and not report.interrupted:
         try:
-            with open(args.render_md, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            text, updated = render_experiments_md(report.payloads, text)
+            text, updated = render_experiments_md(report.payloads, md_text)
             atomic_write_text(args.render_md, text)
         except OSError as exc:
             print(f"error: cannot render tables: {exc}", file=sys.stderr)

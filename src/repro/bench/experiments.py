@@ -388,7 +388,7 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
     """
     import numpy as np
 
-    from repro.baselines.collectives import ring_allgather_mpi, run_all
+    from repro.baselines.collectives import ring_allgather_mpi
     from repro.baselines.fabric import IBGroup
     from repro.collectives import ring_allgather
 
@@ -408,8 +408,9 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
             group.nodes[r].dram.cpu_write(group.buffers[r] + r * block,
                                           data)
         start = group.engine.now_ps
-        run_all(group.engine,
-                ring_allgather_mpi(group.world, group.buffers, block))
+        group.engine.run_all(
+            ring_allgather_mpi(group.world, group.buffers, block),
+            "mpi-allgather")
         table.add("mpi-ib", block, (group.engine.now_ps - start) / 1e6)
     return table
 
@@ -454,9 +455,7 @@ def contention(ring_sizes: Sequence[int] = (4, 8, 16),
 
             procs = [engine.process(flow(src), name=f"flow{src}")
                      for src in range(n)]
-            while not all(p.done for p in procs):
-                if not engine.step():
-                    raise ConfigError("contention run deadlocked")
+            engine.run_all(procs, "contention")
             worst = max(p.result for p in procs)
             table.add(f"{n}-node ring", hops,
                       bw_gbytes_per_s(nbytes, worst))
@@ -483,7 +482,7 @@ def collective_allreduce(sizes: Sequence[int] = (1 * KiB, 4 * KiB,
     """
     import numpy as np
 
-    from repro.baselines.collectives import ring_allreduce_mpi, run_all
+    from repro.baselines.collectives import ring_allreduce_mpi
     from repro.baselines.fabric import IBGroup
     from repro.collectives import TCACollectives
 
@@ -506,8 +505,9 @@ def collective_allreduce(sizes: Sequence[int] = (1 * KiB, 4 * KiB,
             group.nodes[r].dram.cpu_write(group.buffers[r],
                                           vectors[r].view(np.uint8))
         start = group.engine.now_ps
-        run_all(group.engine,
-                ring_allreduce_mpi(group.world, group.buffers, nbytes))
+        group.engine.run_all(
+            ring_allreduce_mpi(group.world, group.buffers, nbytes),
+            "mpi-allreduce")
         table.add("mpi-ib", nbytes, (group.engine.now_ps - start) / 1e6)
     return table
 
@@ -662,9 +662,7 @@ def bisection(node_counts: Sequence[int] = (16, 64),
 
             procs = [engine.process(flow(src), name=f"bisect{src}")
                      for src in range(n)]
-            while not all(p.done for p in procs):
-                if not engine.step():
-                    raise ConfigError("bisection run deadlocked")
+            engine.run_all(procs, "bisection")
             worst = max(p.result for p in procs)
             table.add(label, n, n * bw_gbytes_per_s(nbytes, worst))
     return table

@@ -10,13 +10,14 @@ that claim made executable:
   channels: chained-DMA puts are submitted asynchronously and overlap
   across channels (and, on a :data:`~repro.tca.subcluster.DUAL_RING`
   sub-cluster, across both rings);
-* :class:`TCACollectives` — ring **allgather**, **reduce-scatter**,
-  **allreduce**, **broadcast** and **barrier**, with hierarchical
-  variants that exploit the S-coupled dual-ring topology (§III-D);
+* :class:`TCACollectives` — ring **allgather**, **allreduce**,
+  **broadcast** and **barrier**; allreduce has a hierarchical variant
+  that exploits the S-coupled dual-ring topology (§III-D) and a
+  per-dimension one for tori;
 * module-level one-shot helpers (:func:`ring_allreduce`,
-  :func:`ring_reduce_scatter`, :func:`ring_broadcast`,
-  :func:`ring_barrier`, :func:`ring_allgather`) that build a context,
-  run one self-checking collective, and return the verified buffers.
+  :func:`ring_broadcast`, :func:`ring_barrier`, :func:`ring_allgather`)
+  that build a context, run one self-checking collective, and return the
+  verified buffers.
 
 E18 (``tca-bench collectives``) and the E20/E21 experiments
 (``tca-bench collective-allreduce`` / ``collective-dual-ring``) race
@@ -27,7 +28,7 @@ this layer against the MPI baselines in
 from repro.collectives.channels import ChannelScheduler
 from repro.collectives.ring import (TCACollectives, ring_allgather,
                                     ring_allreduce, ring_barrier,
-                                    ring_broadcast, ring_reduce_scatter)
+                                    ring_broadcast)
 
 __all__ = [
     "ChannelScheduler",
@@ -36,5 +37,4 @@ __all__ = [
     "ring_allreduce",
     "ring_barrier",
     "ring_broadcast",
-    "ring_reduce_scatter",
 ]

@@ -1,5 +1,5 @@
-"""TCA-native ring collectives: allgather, reduce-scatter, allreduce,
-broadcast, barrier (§I, §V).
+"""TCA-native ring collectives: allgather, allreduce, broadcast,
+barrier (§I, §V).
 
 Every collective here is a *schedule of puts plus flag stores* — no
 message matching, no software protocol stack.  Payloads travel as PIO
@@ -7,8 +7,8 @@ puts (short messages, §III-F1) or chained-DMA puts submitted through the
 :class:`~repro.collectives.channels.ChannelScheduler` (bulk, §III-F2);
 completion is a 4-byte flag store that PCIe path ordering keeps behind
 the payload (§III-H).  On a :data:`~repro.tca.subcluster.DUAL_RING`
-sub-cluster, allreduce and broadcast go hierarchical: each ring works
-in parallel and the S cables carry one cross-ring exchange, cutting an
+sub-cluster, allreduce goes hierarchical: each ring reduce-scatters in
+parallel and the S cables carry one cross-ring exchange, cutting an
 8-node allreduce from 2(N-1)=14 to N-1=7 serialized hops.
 
 Reductions are uint32 modular sums, so results are byte-identical
@@ -189,19 +189,16 @@ class TCACollectives:
 
     def _run(self, workers: Dict[int, object], name: str) -> None:
         """Spawn one process per node and step the engine to completion."""
-        procs = [self.engine.process(gen, name=f"{name}{node}")
-                 for node, gen in sorted(workers.items())]
-        while not all(p.done for p in procs):
-            if not self.engine.step():
-                raise ConfigError(f"{name} deadlocked")
+        self.engine.run_all([self.engine.process(gen, name=f"{name}{node}")
+                             for node, gen in sorted(workers.items())], name)
 
     def _flat_ring(self) -> List[int]:
         """Node ids in logical ring order for whole-cluster collectives.
 
         On a single ring this is the cable order; on a dual ring the
         same id order still works (route tables deliver any put, puts to
-        the other ring just cross an S cable) — it is what the flat
-        variants use when asked to ignore the hierarchy.
+        the other ring just cross an S cable) — it is what broadcast and
+        the flat allreduce use there.
         """
         if self.cluster.topology == RING:
             return self.cluster.rings()[0]
@@ -266,7 +263,7 @@ class TCACollectives:
             results.append(got)
         return results
 
-    # -- reduce-scatter -----------------------------------------------------------
+    # -- allreduce ----------------------------------------------------------------
 
     def _check_vectors(self, vectors: Sequence[np.ndarray],
                        num_chunks: int) -> Tuple[List[np.ndarray], int]:
@@ -284,58 +281,6 @@ class TCACollectives:
                 f"vector length {words} words must divide into "
                 f"{num_chunks} equal chunks")
         return vectors, words
-
-    def reduce_scatter(self, vectors: Sequence[np.ndarray]
-                       ) -> List[np.ndarray]:
-        """Ring reduce-scatter of uint32 vectors (modular sum).
-
-        After N-1 steps rank r owns chunk (r+1) mod N of the elementwise
-        sum.  Each step puts into a *distinct* per-step staging slot on
-        the East neighbour, so no step ever overwrites data a slower
-        receiver has not consumed — no credit flags needed.  Returns
-        each rank's owned chunk.
-        """
-        n = self.cluster.num_nodes
-        vectors, words = self._check_vectors(vectors, n)
-        nbytes = words * 4
-        chunk = nbytes // n
-        staging = _align(nbytes)
-        if staging + (n - 1) * chunk > self.data_bytes:
-            raise ConfigError("vectors too large for the DMA buffers")
-
-        for rank in range(n):
-            self.cluster.driver(rank).fill_dma_buffer(
-                0, vectors[rank].view(np.uint8))
-
-        def worker(rank: int):
-            east = (rank + 1) % n
-            for step in range(n - 1):
-                send = (rank - step) % n
-                yield from self._put_flagged(
-                    rank, send * chunk, east, staging + step * chunk,
-                    chunk, self._flag_rs + step)
-                yield from self._wait(rank, self._flag_rs + step)
-                self._reduce_into(rank, ((rank - step - 1) % n) * chunk,
-                                  staging + step * chunk, chunk)
-
-        self._run({rank: worker(rank) for rank in range(n)},
-                  "reduce-scatter")
-
-        total = vectors[0].copy()
-        for v in vectors[1:]:
-            total = total + v  # uint32 wraps: the modular sum
-        results = []
-        for rank in range(n):
-            owned = (rank + 1) % n
-            got = self.cluster.driver(rank).read_dma_buffer(
-                owned * chunk, chunk).view(np.uint32)
-            lo = owned * (words // n)
-            if not np.array_equal(got, total[lo:lo + words // n]):
-                raise ConfigError(f"reduce-scatter mismatch on rank {rank}")
-            results.append(got)
-        return results
-
-    # -- allreduce ----------------------------------------------------------------
 
     def allreduce(self, vectors: Sequence[np.ndarray],
                   hierarchical: Optional[bool] = None,
@@ -551,25 +496,18 @@ class TCACollectives:
 
     # -- broadcast ----------------------------------------------------------------
 
-    def broadcast(self, data: np.ndarray, root: int = 0,
-                  hierarchical: Optional[bool] = None) -> List[np.ndarray]:
+    def broadcast(self, data: np.ndarray, root: int = 0) -> List[np.ndarray]:
         """Bidirectional ring broadcast from ``root``.
 
         The root launches East and West puts *concurrently* (two DMA
         channels via the scheduler); each segment store-and-forwards, so
-        delivery takes ceil((N-1)/2) hops instead of N-1.  On a
-        DUAL_RING cluster the root first crosses to its S-port partner,
-        then both rings broadcast in parallel — and the root's S, E and
-        W puts are all in flight at once.
+        delivery takes ceil((N-1)/2) hops instead of N-1.  Any topology
+        uses one flat logical ring (:meth:`_flat_ring`); on a DUAL_RING
+        cluster the puts to the other ring cross an S cable.
         """
         n = self.cluster.num_nodes
         if not 0 <= root < n:
             raise ConfigError(f"root {root} out of range")
-        if hierarchical is None:
-            hierarchical = self.cluster.topology == DUAL_RING
-        if hierarchical and self.cluster.topology != DUAL_RING:
-            raise ConfigError("hierarchical broadcast needs a DUAL_RING "
-                              "sub-cluster")
         data = np.ascontiguousarray(data, dtype=np.uint8)
         nbytes = data.size
         if nbytes <= 0:
@@ -578,14 +516,9 @@ class TCACollectives:
             raise ConfigError("payload too large for the DMA buffers")
         self.cluster.driver(root).fill_dma_buffer(0, data)
 
-        if hierarchical:
-            workers = self._broadcast_dual_workers(nbytes, root)
-        else:
-            ring = self._flat_ring()
-            workers = {node: self._bcast_ring_worker(ring, node, root,
-                                                     nbytes)
-                       for node in range(n)}
-        self._run(workers, "broadcast")
+        ring = self._flat_ring()
+        self._run({node: self._bcast_ring_worker(ring, node, root, nbytes)
+                   for node in range(n)}, "broadcast")
 
         results = []
         for rank in range(n):
@@ -634,40 +567,6 @@ class TCACollectives:
             if dw < west_depth:
                 yield from forward(PortCode.W)
 
-    def _broadcast_dual_workers(self, nbytes: int,
-                                root: int) -> Dict[int, object]:
-        ring_a, ring_b = self.cluster.rings()
-        if root in ring_a:
-            my_ring, other_ring = ring_a, ring_b
-        else:
-            my_ring, other_ring = ring_b, ring_a
-        partner = other_ring[my_ring.index(root)]
-
-        def root_worker():
-            # Cross to the S partner while this ring's E/W puts run.
-            def cross():
-                yield from self._put_flagged(root, 0, partner, 0, nbytes,
-                                             self._flag_x)
-            branch = self.engine.process(cross(), name=f"bcast{root}.S")
-            yield from self._bcast_ring_worker(my_ring, root, root, nbytes)
-            yield branch
-
-        def partner_worker():
-            yield from self._wait(partner, self._flag_x)
-            yield from self._bcast_ring_worker(other_ring, partner,
-                                               partner, nbytes)
-
-        workers: Dict[int, object] = {root: root_worker(),
-                                      partner: partner_worker()}
-        for node in range(self.cluster.num_nodes):
-            if node in workers:
-                continue
-            ring = my_ring if node in my_ring else other_ring
-            sub_root = root if node in my_ring else partner
-            workers[node] = self._bcast_ring_worker(ring, node, sub_root,
-                                                    nbytes)
-        return workers
-
     # -- barrier ------------------------------------------------------------------
 
     def barrier(self) -> int:
@@ -703,16 +602,6 @@ def ring_allgather(cluster: TCASubCluster, block_bytes: int = 1024,
     return TCACollectives(cluster).allgather(blocks)
 
 
-def ring_reduce_scatter(cluster: TCASubCluster, nbytes: int = 4096,
-                        seed: int = 7) -> List[np.ndarray]:
-    """Seeded one-shot reduce-scatter; returns each rank's owned chunk."""
-    rng = np.random.default_rng(seed)
-    words = nbytes // 4
-    vectors = [rng.integers(0, 1 << 32, words, dtype=np.uint32)
-               for _ in range(cluster.num_nodes)]
-    return TCACollectives(cluster).reduce_scatter(vectors)
-
-
 def ring_allreduce(cluster: TCASubCluster, nbytes: int = 4096,
                    seed: int = 7,
                    hierarchical: Optional[bool] = None,
@@ -728,13 +617,11 @@ def ring_allreduce(cluster: TCASubCluster, nbytes: int = 4096,
 
 
 def ring_broadcast(cluster: TCASubCluster, nbytes: int = 4096,
-                   root: int = 0, seed: int = 7,
-                   hierarchical: Optional[bool] = None) -> List[np.ndarray]:
+                   root: int = 0, seed: int = 7) -> List[np.ndarray]:
     """Seeded one-shot broadcast; returns each node's received buffer."""
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 256, nbytes, dtype=np.uint8)
-    return TCACollectives(cluster).broadcast(data, root=root,
-                                             hierarchical=hierarchical)
+    return TCACollectives(cluster).broadcast(data, root=root)
 
 
 def ring_barrier(cluster: TCASubCluster) -> int:

@@ -110,38 +110,6 @@ class CudaContext:
             src.gpu.ce_write_to_bus(bus, src.offset, nbytes),
             name="memcpy_peer")
 
-    # -- streams (asynchronous, in-order; cudaMemcpyAsync-style) -------------------
-
-    def create_stream(self, name: str = "") -> "CudaStream":
-        """cudaStreamCreate()."""
-        from repro.cuda.stream import CudaStream
-
-        return CudaStream(self.engine,
-                          name or f"{self.node.name}.stream")
-
-    def memcpy_htod_async(self, dst: DevicePtr, src_bus_addr: int,
-                          nbytes: int, stream) -> "Signal":
-        """cudaMemcpyAsync host-to-device on a stream."""
-        return stream.enqueue(
-            lambda: self.memcpy_htod(dst, src_bus_addr, nbytes),
-            label="htod")
-
-    def memcpy_dtoh_async(self, dst_bus_addr: int, src: DevicePtr,
-                          nbytes: int, stream) -> "Signal":
-        """cudaMemcpyAsync device-to-host on a stream."""
-        return stream.enqueue(
-            lambda: self.memcpy_dtoh(dst_bus_addr, src, nbytes),
-            label="dtoh")
-
-    def launch_kernel_async(self, gpu_index: int, flops: float,
-                            bytes_moved: float, stream,
-                            body=None) -> "Signal":
-        """Queue a roofline-timed kernel on a stream."""
-        gpu = self._gpu(gpu_index)
-        return stream.enqueue(
-            lambda: gpu.launch_kernel(flops, bytes_moved, body),
-            label="kernel")
-
     # -- zero-time backdoors for test setup/verification ---------------------------
 
     def upload(self, ptr: DevicePtr, data: np.ndarray) -> None:

@@ -11,7 +11,6 @@ other devices (PEACH2, IB HCAs) can address them directly (§III-C steps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from repro.errors import DriverError
 from repro.hw.gpu import GPU
@@ -28,10 +27,7 @@ class PinnedMapping:
 
 
 class P2PDriver:
-    """Pins/unpins GPU memory into the PCIe address space."""
-
-    def __init__(self):
-        self._pins: Dict[Tuple[str, int, int], PinnedMapping] = {}
+    """Pins GPU memory into the PCIe address space."""
 
     def pin(self, gpu: GPU, token: object, offset: int,
             nbytes: int) -> PinnedMapping:
@@ -52,21 +48,6 @@ class P2PDriver:
         if not (token.offset <= offset
                 and offset + nbytes <= token.offset + token.nbytes):
             raise DriverError("token does not cover the requested range")
-        region = gpu.pin_pages(offset, nbytes)
-        mapping = PinnedMapping(gpu.name, gpu.offset_to_bar(offset),
-                                offset, nbytes)
-        self._pins[(gpu.name, offset, nbytes)] = mapping
-        return mapping
-
-    def unpin(self, gpu: GPU, offset: int, nbytes: int) -> None:
-        """Release a pinned range."""
-        key = (gpu.name, offset, nbytes)
-        if key not in self._pins:
-            raise DriverError("range was not pinned by this driver")
-        gpu.unpin_pages(offset, nbytes)
-        del self._pins[key]
-
-    @property
-    def active_pins(self) -> int:
-        """Number of live pinned ranges."""
-        return len(self._pins)
+        gpu.pin_pages(offset, nbytes)
+        return PinnedMapping(gpu.name, gpu.offset_to_bar(offset), offset,
+                             nbytes)

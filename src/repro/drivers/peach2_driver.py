@@ -105,16 +105,6 @@ class PEACH2Driver:
         self.chip.regs.poke_u64(REG_MSI_ADDRESS, MSI_REGION.base)
         self.chip.regs.poke_u64(REG_MSI_VECTOR, DMA_IRQ_VECTOR_BASE)
 
-    # -- user-space mappings ------------------------------------------------------
-
-    def mmap_tca_window(self) -> int:
-        """Base bus address of BAR4, as mmapped into user space (§III-F1)."""
-        return self.chip.bar4.base
-
-    def mmap_registers(self) -> int:
-        """Base bus address of BAR0 (privileged tools only)."""
-        return self.chip.bar0.base
-
     def dma_buffer(self, offset: int = 0) -> int:
         """Bus address of a byte within the driver's DMA buffer."""
         if offset < 0 or offset >= self.usable_dma_bytes:
@@ -188,10 +178,6 @@ class PEACH2Driver:
         return end_tsc - start_tsc
 
     # -- asynchronous submission (the collectives layer) --------------------------
-
-    def channel_pending(self, channel: int) -> bool:
-        """True while a submitted chain has not completed its IRQ yet."""
-        return self._irq_signals.get(channel) is not None
 
     def submit_chain(self, channel: int,
                      descriptors: Sequence[DMADescriptor]) -> Signal:

@@ -181,11 +181,6 @@ class FaultInjector:
         """Record ``n`` injected faults of one kind."""
         self.counters[key] = self.counters.get(key, 0) + n
 
-    @property
-    def total_injected(self) -> int:
-        """Total faults injected so far."""
-        return sum(self.counters.values())
-
     def flush_metrics(self, registry=None) -> None:
         """Mirror the counters into a metrics registry as ``faults.*``.
 

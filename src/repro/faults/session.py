@@ -51,11 +51,6 @@ class FaultSession:
         for engine, injector in self.armed:
             injector.flush_metrics(engine.metrics)
 
-    @property
-    def total_injected(self) -> int:
-        """Faults injected across every armed engine."""
-        return sum(injector.total_injected for _, injector in self.armed)
-
     def summary(self) -> str:
         """Aggregate one-line summary across engines."""
         totals: dict = {}

@@ -58,7 +58,6 @@ class BIOS:
         self.motherboard = motherboard
         self._cursor = BAR_WINDOW_BASE
         self.assigned: List[Tuple[BARRequest, Region]] = []
-        self.scanned_functions: List[object] = []
 
     def scan_function(self, config_space) -> dict:
         """Enumerate one PCIe function via its configuration space.
@@ -74,12 +73,7 @@ class BIOS:
             config_space.program_bar(index, region.base)
             regions[index] = region
         config_space.enable()
-        self.scanned_functions.append(config_space)
         return regions
-
-    def lspci(self) -> str:
-        """Summary of every function seen during the scan."""
-        return "\n".join(cs.describe() for cs in self.scanned_functions)
 
     def assign(self, request: BARRequest) -> Region:
         """Place one BAR; naturally aligned; raises on oversize BARs."""

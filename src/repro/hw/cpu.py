@@ -120,7 +120,3 @@ class CPU(Device):
         if vector in self._irq_handlers:
             raise ConfigError(f"{self.name}: IRQ vector {vector} already taken")
         self._irq_handlers[vector] = handler
-
-    def unregister_irq_handler(self, vector: int) -> None:
-        """Remove a previously installed handler."""
-        self._irq_handlers.pop(vector, None)

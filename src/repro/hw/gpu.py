@@ -108,15 +108,6 @@ class GPU(Device):
         return Region(self.offset_to_bar(start), end - start,
                       f"{self.name}.pinned")
 
-    def unpin_pages(self, offset: int, nbytes: int) -> None:
-        """Remove one earlier pin covering the same range."""
-        start = (offset // PAGE_SIZE) * PAGE_SIZE
-        end = -(-(offset + nbytes) // PAGE_SIZE) * PAGE_SIZE
-        entry = (start, min(end, self.params.memory_bytes))
-        if entry not in self._pinned:
-            raise DriverError(f"{self.name}: range was not pinned")
-        self._pinned.remove(entry)
-
     def is_pinned(self, offset: int, nbytes: int) -> bool:
         """True if the whole range lies inside some pinned interval."""
         return any(s <= offset and offset + nbytes <= e

@@ -34,11 +34,6 @@ class BackingStore:
         self.name = name
         self._pages: Dict[int, np.ndarray] = {}
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of actually-materialized pages."""
-        return len(self._pages) * PAGE_SIZE
-
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or offset + nbytes > self.size:
             raise AddressError(

@@ -250,11 +250,3 @@ class ComputeNode:
             raise ConfigError(f"{self.name}: DRAM exhausted")
         self._dram_cursor = base + nbytes
         return base
-
-    def gpu_on_peach2_socket(self, index: int) -> GPU:
-        """GPUs reachable by PEACH2 without crossing QPI (GPU0/GPU1)."""
-        if index not in (0, 1):
-            raise ConfigError(
-                "PEACH2 only accesses GPU0 and GPU1 (QPI P2P is prohibited, "
-                "§III-C)")
-        return self.gpus[index]

@@ -106,10 +106,3 @@ class RunLog:
             "wall_ms": round(self.now_ps() / PS_PER_WALL_NS / 1e6, 3),
             "metrics": self.metrics.to_dict(self.now_ps()),
         }
-
-
-def worker_clock(origin_ns: int,
-                 clock_ns: Callable[[], int] = time.perf_counter_ns
-                 ) -> Callable[[], int]:
-    """A ``now_ps`` for worker processes sharing the parent's origin."""
-    return lambda: (clock_ns() - origin_ns) * PS_PER_WALL_NS

@@ -97,21 +97,6 @@ class Observability:
     def total_dropped(self) -> int:
         return sum(t.dropped for _, _, t, _ in self.attached)
 
-    # -- attribution --------------------------------------------------------
-
-    def pio_segments(self) -> List[Segment]:
-        """PIO attribution of the first engine with a complete store path.
-
-        Rigs that move exactly one posted store (the Fig. 10 loopback)
-        decompose cleanly; engines without a store->commit path are
-        skipped.  Returns [] when no engine qualifies.
-        """
-        for _, _, tracer, _ in self.attached:
-            try:
-                return attribute_pio(tracer.records)
-            except AttributionError:
-                continue
-        return []
 
     # -- export -------------------------------------------------------------
 

@@ -17,11 +17,6 @@ from typing import Any, List, Optional
 from repro.errors import AddressError, ConfigError
 
 
-def is_aligned(value: int, alignment: int) -> bool:
-    """True if ``value`` is a multiple of ``alignment`` (a power of two)."""
-    return value % alignment == 0
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round ``value`` up to the next multiple of ``alignment``."""
     return -(-value // alignment) * alignment

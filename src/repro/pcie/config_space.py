@@ -59,11 +59,6 @@ class BARDescriptor:
                 f"BAR{self.index}: size {self.size:#x} must be a power of "
                 "two >= 128")
 
-    @property
-    def size_mask(self) -> int:
-        """What a sizing probe reads back: ones above the size bits."""
-        return (~(self.size - 1)) & 0xFFFF_FFFF_FFFF_FFFF
-
 
 @dataclass
 class Capability:
@@ -106,10 +101,6 @@ class ConfigSpace:
         """Append to the capability list."""
         self.capabilities.append(capability)
 
-    def has_capability(self, cap_id: int) -> bool:
-        """True if the capability list contains ``cap_id``."""
-        return any(c.cap_id == cap_id for c in self.capabilities)
-
     # -- the BIOS-facing protocol ---------------------------------------------------
 
     def probe_bar_size(self, index: int) -> int:
@@ -151,19 +142,3 @@ class ConfigSpace:
     def enabled(self) -> bool:
         """True once memory decoding and bus mastering are on."""
         return bool(self.command & CMD_MEMORY_SPACE)
-
-    def describe(self) -> str:
-        """lspci-style one-device summary."""
-        lines = [f"{self.name}: {self.vendor_id:04x}:{self.device_id:04x} "
-                 f"class {self.class_code:02x} "
-                 f"{'enabled' if self.enabled else 'disabled'}"]
-        for index in sorted(self.bars):
-            bar = self.bars[index]
-            base = (f"0x{bar.assigned_base:x}" if bar.assigned_base is not None
-                    else "unassigned")
-            width = "64-bit" if bar.is_64bit else "32-bit"
-            lines.append(f"  BAR{index}: {base} [size {bar.size:#x}, {width}"
-                         f"{', prefetchable' if bar.prefetchable else ''}]")
-        for cap in self.capabilities:
-            lines.append(f"  capability 0x{cap.cap_id:02x}")
-        return "\n".join(lines)

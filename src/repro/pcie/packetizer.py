@@ -80,29 +80,3 @@ def split_read_requests(address: int, nbytes: int,
             and address % mrrs == 0 and PAGE_BOUNDARY % mrrs == 0):
         return _split_vectorized(address, nbytes, mrrs)
     return list(_split(address, nbytes, mrrs))
-
-
-def count_write_tlps(nbytes: int, mps: int = DEFAULT_MPS,
-                     address: int = 0) -> int:
-    """Number of MWr packets a transfer of ``nbytes`` needs.
-
-    Computed in closed form: within one page the greedy split takes
-    ``ceil(span / mps)`` pieces, so the count is the sum over the partial
-    leading page, the full pages, and the trailing remainder — no chunk
-    list is materialized.  Kept equal to ``len(split_transfer(...))`` by
-    the packetizer property suite.
-    """
-    if nbytes < 0:
-        raise PCIeError(f"negative transfer length {nbytes}")
-    if mps <= 0:
-        raise PCIeError(f"invalid chunk limit {mps}")
-    if nbytes == 0:
-        return 0
-    lead = min(nbytes, PAGE_BOUNDARY - (address % PAGE_BOUNDARY))
-    count = -(-lead // mps)
-    remaining = nbytes - lead
-    full_pages, tail = divmod(remaining, PAGE_BOUNDARY)
-    count += full_pages * -(-PAGE_BOUNDARY // mps)
-    if tail:
-        count += -(-tail // mps)
-    return count

@@ -72,10 +72,6 @@ class Port:
             raise LinkError(f"port {self.name} already linked")
         self.link = link
 
-    def detach(self) -> None:
-        """Unplug the cable (used by link-failure experiments)."""
-        self.link = None
-
     def send(self, tlp: TLP) -> Signal:
         """Queue a packet for transmission; fires when accepted by the link."""
         if self.link is None:

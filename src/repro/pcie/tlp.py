@@ -46,11 +46,6 @@ class TLPKind(enum.Enum):
     CPLD = "CplD"
     MSI = "MSI"
 
-    @property
-    def is_posted(self) -> bool:
-        """Posted transactions need no completion (writes, interrupts)."""
-        return self in (TLPKind.MWR, TLPKind.MSI)
-
 
 #: Kinds whose wire footprint includes the payload bytes.
 _CARRIES_PAYLOAD = frozenset((TLPKind.MWR, TLPKind.CPLD, TLPKind.MSI))

@@ -23,7 +23,7 @@ Behavioural model of §III-F2 and §IV-A/IV-B:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -94,21 +94,6 @@ class DMAController:
         return ring
 
     # -- channel arbitration hooks (used by repro.collectives) -------------------
-
-    def is_busy(self, channel: int) -> bool:
-        """True while a chain is executing on ``channel``."""
-        return bool(self._running.get(channel))
-
-    def idle_channels(self) -> List[int]:
-        """Channels with no chain executing, lowest first.
-
-        Note that a channel whose chain finished but whose completion IRQ
-        the driver has not consumed yet reads *idle* here; arbitration
-        layers that reuse channels must also check
-        :meth:`~repro.drivers.peach2_driver.PEACH2Driver.channel_pending`.
-        """
-        return [ch for ch in range(self.num_channels)
-                if not self._running.get(ch)]
 
     def start(self, channel: int) -> Signal:
         """Kick a channel (as the doorbell register write does).

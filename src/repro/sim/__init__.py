@@ -11,7 +11,7 @@ Python generator that yields :class:`Delay`, :class:`Signal` or another
 thing happens.
 """
 
-from repro.sim.core import Delay, Engine, Process, Signal, all_of
+from repro.sim.core import Delay, Engine, Process, Signal
 from repro.sim.queues import Latch, Resource, Store
 from repro.sim.trace import Tracer
 
@@ -20,7 +20,6 @@ __all__ = [
     "Engine",
     "Process",
     "Signal",
-    "all_of",
     "Latch",
     "Resource",
     "Store",

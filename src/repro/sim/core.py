@@ -46,7 +46,7 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from typing import (Any, Callable, Deque, Generator, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro.errors import SimulationError
 from repro.units import PS_PER_NS
@@ -79,11 +79,6 @@ if _default_dispatch not in DISPATCH_MODES:
     raise SimulationError(
         f"TCA_SIM_DISPATCH={_default_dispatch!r} is not one of "
         f"{DISPATCH_MODES}")
-
-
-def default_dispatch() -> str:
-    """The dispatch mode new :class:`Engine` instances get by default."""
-    return _default_dispatch
 
 
 def set_default_dispatch(mode: str) -> str:
@@ -284,8 +279,8 @@ class Process:
         counted.  Because every observable the scheduler maintains
         (``(time, sequence)`` order, ``events_processed``, ``now_ps`` at
         each resume) is preserved, a batched run is bit-identical to the
-        reference scheduler by construction.  Batching is disabled while a
-        ``max_events`` bound is counting steps (see :attr:`Engine._batch`).
+        reference scheduler by construction.  Batching runs only when
+        :attr:`Engine._batch` is set (see there).
         """
         engine = self.engine
         generator = self.generator
@@ -437,9 +432,9 @@ class Engine:
         self._cancelled: Set[int] = set()
         self.events_processed = 0
         #: Batch-advance gate for the :class:`Process` trampoline: true
-        #: only when this is a fast-dispatch engine and no ``max_events``
-        #: bound is counting individual steps.  Kept as one precomputed
-        #: flag so the trampoline check is a single attribute load.
+        #: on a fast-dispatch engine.  Kept as one precomputed flag so the
+        #: trampoline check is a single attribute load, and so clearing
+        #: it switches the trampoline off without touching dispatch.
         self._batch = self.fast_dispatch
         #: Clock bound for batch-advance; ``run(until_ps=...)`` lowers it
         #: so a batched delay never carries the clock past the bound.
@@ -578,30 +573,22 @@ class Engine:
             callback(*args)
             return True
 
-    def run(self, until_ps: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run until the queues drain, ``until_ps`` passes, or ``max_events``.
+    def run(self, until_ps: Optional[int] = None) -> int:
+        """Run until the queues drain or ``until_ps`` passes.
 
         Returns the simulated time (ps) when the loop stopped.  With
-        ``until_ps`` the clock always lands exactly on ``until_ps`` when
-        the loop stops for time — whether the next event lies beyond the
-        bound or the queues drained early — so drain-to-a-deadline runs
-        report consistent windows.  Stopping on ``max_events`` leaves the
-        clock at the last processed event.
+        ``until_ps`` the clock always lands exactly on ``until_ps`` —
+        whether the next event lies beyond the bound or the queues
+        drained early — so drain-to-a-deadline runs report consistent
+        windows.
         """
-        if until_ps is None and max_events is None:
+        if until_ps is None:
             self._drain(_UNTIL_DRAINED)
             return self._now_ps
-        # Bounded run.  An until_ps bound lowers the batch-advance horizon
-        # so a batched delay cannot carry the clock past it; a max_events
-        # bound counts individual steps, so batch-advance (which executes
-        # several events inside one step) is suspended for the duration.
-        if until_ps is not None:
-            self._horizon = until_ps
-        if max_events is not None:
-            self._batch = False
+        # The bound lowers the batch-advance horizon so a batched delay
+        # cannot carry the clock past it.
+        self._horizon = until_ps
         try:
-            processed = 0
             while True:
                 # Discard cancelled heads so the until_ps peek below (and
                 # the drained-queue exit) only ever see live events.
@@ -613,23 +600,15 @@ class Engine:
                     heap = self._heap
                     while heap and cancelled and heap[0][1] in cancelled:
                         cancelled.discard(heapq.heappop(heap)[1])
-                    if not heap:
+                    if not heap or heap[0][0] > until_ps:
                         break
-                    if until_ps is not None and heap[0][0] > until_ps:
-                        break
-                if max_events is not None and processed >= max_events:
-                    return self._now_ps
                 if not self.step():
                     break
-                processed += 1
-            if until_ps is not None and self._now_ps < until_ps:
+            if self._now_ps < until_ps:
                 self._now_ps = until_ps
             return self._now_ps
         finally:
-            if until_ps is not None:
-                self._horizon = _NO_HORIZON
-            if max_events is not None:
-                self._batch = self.fast_dispatch
+            self._horizon = _NO_HORIZON
 
     def run_process(self, generator: ProcessGen, name: str = "") -> Any:
         """Start a process and run the engine until it completes.
@@ -641,6 +620,28 @@ class Engine:
         if proc.error is not None:
             raise proc.error
         return proc.result
+
+    def run_all(self, procs: Sequence[Process], name: str) -> None:
+        """Step the engine until every process in ``procs`` is done.
+
+        The driver loop of multi-process runs (collectives, contention
+        flows, application ranks).  ``done`` never reverts, so a pointer
+        moves along ``procs`` past finished processes and each loop pass
+        costs one :meth:`step` plus amortised O(1) bookkeeping.  Raises
+        :class:`~repro.errors.SimulationError` naming the run if the
+        queues drain first.
+        """
+        step = self.step
+        index, count = 0, len(procs)
+        while True:
+            while index < count and procs[index].done:
+                index += 1
+            if index == count:
+                return
+            if not step():
+                raise SimulationError(
+                    f"deadlock: run {name!r} is still waiting on process "
+                    f"{procs[index].name!r} but no events remain")
 
     def _drain(self, proc: Any) -> None:
         """The fused dispatch loop: run events until ``proc`` is done.
@@ -676,33 +677,6 @@ class Engine:
             self._now_ps = time_ps
             self.events_processed += 1
             callback(*args)
-
-
-def all_of(engine: Engine, waitables: Iterable[Any]) -> Signal:
-    """Signal that fires (with a list of results) when every waitable has.
-
-    Accepts :class:`Signal` and :class:`Process` objects.
-    """
-    items = list(waitables)
-    done = engine.signal("all_of")
-    if not items:
-        done.fire([])
-        return done
-    results: List[Any] = [None] * len(items)
-    remaining = [len(items)]
-
-    def make_callback(index: int) -> Callable[[Any], None]:
-        def callback(value: Any) -> None:
-            results[index] = value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.fire(list(results))
-
-        return callback
-
-    for i, item in enumerate(items):
-        item.add_callback(make_callback(i))
-    return done
 
 
 def first_of(engine: Engine, waitables: Iterable[Any]) -> Signal:

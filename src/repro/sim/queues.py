@@ -85,14 +85,6 @@ class Store:
         self._getters.append(got)
         return got
 
-    def try_get(self) -> tuple:
-        """Non-blocking get; returns (True, item) or (False, None)."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        self._admit_waiting_putter()
-        return True, item
-
     def _admit_waiting_putter(self) -> None:
         if self._putters and (self.capacity is None
                               or len(self._items) < self.capacity):

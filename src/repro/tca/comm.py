@@ -16,8 +16,8 @@ address domain.  Three transports are provided:
 Block-stride transfers (§III-H) map naturally onto chained descriptors.
 
 These are the point-to-point primitives.  Collective operations built on
-top of them — allgather, reduce-scatter, allreduce, broadcast, barrier,
-with multi-channel DMA overlap — live in :mod:`repro.collectives`
+top of them — allgather, allreduce, broadcast and barrier, with
+multi-channel DMA overlap — live in :mod:`repro.collectives`
 (entry points ``TCACollectives`` and the ``ring_*`` one-shot helpers);
 see ``docs/collectives.md``.
 """
@@ -32,7 +32,7 @@ from repro.cuda.pointer import (CU_POINTER_ATTRIBUTE_P2P_TOKENS, DevicePtr)
 from repro.errors import ConfigError, DMAError
 from repro.peach2.descriptor import DescriptorFlags, DMADescriptor
 from repro.tca.address_map import (BLOCK_GPU0, BLOCK_GPU1, BLOCK_HOST,
-                                   BLOCK_INTERNAL, TCAAddressMap)
+                                   TCAAddressMap)
 from repro.tca.subcluster import TCASubCluster
 from repro.units import MiB
 
@@ -63,11 +63,6 @@ class TCAComm:
             raise ConfigError("TCA reaches only GPU0/GPU1 (QPI P2P is "
                               "prohibited, §III-C)")
         return self.address_map.global_address(node_id, GPU_BLOCKS[gpu_index],
-                                               offset)
-
-    def internal_global(self, node_id: int, offset: int) -> int:
-        """TCA-global address of PEACH2 internal memory on ``node_id``."""
-        return self.address_map.global_address(node_id, BLOCK_INTERNAL,
                                                offset)
 
     def register_gpu_memory(self, node_id: int, ptr: DevicePtr) -> int:

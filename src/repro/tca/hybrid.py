@@ -155,12 +155,6 @@ class HybridComm:
                                         for r in range(cluster.num_nodes))]
         self._flag_seq = 0
 
-    def transport_for(self, src_rank: int, dst_rank: int) -> str:
-        """Which network a pair communicates over."""
-        src_sub, _ = self.cluster.locate(src_rank)
-        dst_sub, _ = self.cluster.locate(dst_rank)
-        return "tca" if src_sub == dst_sub else "ib"
-
     def put(self, src_rank: int, dst_rank: int, src_offset: int,
             dst_offset: int, nbytes: int, tag: int = 0):
         """Process: move DMA-buffer bytes between two global ranks.

@@ -37,16 +37,6 @@ def ms(t: float) -> int:
     return int(round(t * PS_PER_MS))
 
 
-def to_ns(t_ps: int) -> float:
-    """Convert internal picoseconds to nanoseconds."""
-    return t_ps / PS_PER_NS
-
-
-def to_us(t_ps: int) -> float:
-    """Convert internal picoseconds to microseconds."""
-    return t_ps / PS_PER_US
-
-
 def to_s(t_ps: int) -> float:
     """Convert internal picoseconds to seconds."""
     return t_ps / PS_PER_S
@@ -64,16 +54,6 @@ GB = 1000 * MB
 
 
 # --- rates -----------------------------------------------------------------
-
-
-def gbytes_per_s(rate: float) -> float:
-    """Convert Gbytes/sec (decimal, as the paper quotes) to bytes per ps."""
-    return rate * GB / PS_PER_S
-
-
-def mbytes_per_s(rate: float) -> float:
-    """Convert Mbytes/sec (decimal) to bytes per ps."""
-    return rate * MB / PS_PER_S
 
 
 def transfer_ps(nbytes: int, bytes_per_ps: float) -> int:

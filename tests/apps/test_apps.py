@@ -96,7 +96,7 @@ class TestHalo:
         stats = halo.run(2)
         assert stats.iterations == 2
         assert stats.total_ns > 0
-        assert 0 < stats.exchange_fraction <= 1.0
+        assert 0 < stats.exchange_ns <= stats.total_ns
 
     def test_grid_too_small(self):
         with pytest.raises(ConfigError):

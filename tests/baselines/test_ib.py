@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.ib import (FDR_PARAMS, IBFrame, IBHca, IBLink, IBParams,
                                 IBSwitch, QDR_PARAMS, install_hca)
-from repro.baselines.paths import build_ib_pair
+from repro.baselines.paths import _IBPair
 from repro.errors import ConfigError
 from repro.units import MiB, bw_gbytes_per_s, ns, us
 
@@ -21,7 +21,7 @@ def test_frame_wire_bytes_include_headers():
 
 
 def test_rdma_write_host_to_host():
-    pair = build_ib_pair()
+    pair = _IBPair()
     data = np.random.default_rng(0).integers(0, 256, 10000, dtype=np.uint8)
     src, dst = pair.host_buffers
     pair.nodes[0].dram.cpu_write(src, data)
@@ -36,7 +36,7 @@ def test_rdma_write_host_to_host():
 
 
 def test_cqe_fires_after_remote_landing():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     pair.nodes[0].dram.cpu_write(src, np.ones(64, dtype=np.uint8))
 
@@ -52,7 +52,7 @@ def test_cqe_fires_after_remote_landing():
 
 
 def test_small_message_latency_near_1_3us():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     data = np.full(8, 9, dtype=np.uint8)
     pair.nodes[0].dram.cpu_write(src, data)
@@ -83,7 +83,7 @@ def test_dual_rail_doubles_bulk_bandwidth():
 
 
 def test_large_message_bandwidth_above_3_gbytes():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     nbytes = 1 * MiB
     pair.nodes[0].dram.cpu_write(src, np.ones(nbytes, dtype=np.uint8))
@@ -99,7 +99,7 @@ def test_large_message_bandwidth_above_3_gbytes():
 
 def test_inline_faster_than_dma_fetch():
     def run(inline):
-        pair = build_ib_pair()
+        pair = _IBPair()
         src, dst = pair.host_buffers
         data = np.full(64, 5, dtype=np.uint8)
         pair.nodes[0].dram.cpu_write(src, data)
@@ -116,7 +116,7 @@ def test_inline_faster_than_dma_fetch():
 
 def test_switch_adds_latency():
     def run(with_switch):
-        pair = build_ib_pair()
+        pair = _IBPair()
         if with_switch:
             sw = IBSwitch(pair.engine, latency_ps=ns(110))
             pair.hcas[0].switch = sw

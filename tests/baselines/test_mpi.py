@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.mpi import MPIParams
-from repro.baselines.paths import build_ib_pair
+from repro.baselines.paths import _IBPair
 from repro.units import KiB
 
 
@@ -32,32 +32,32 @@ def exchange(pair, nbytes, tag=0, post_recv_first=True):
 
 
 def test_eager_small_message():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, 256)
 
 
 def test_eager_at_threshold():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, pair.world.params.eager_threshold)
 
 
 def test_rendezvous_large_message():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, 256 * KiB)
 
 
 def test_unexpected_eager_message():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, 512, post_recv_first=False)
 
 
 def test_unexpected_rendezvous_message():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, 64 * KiB, post_recv_first=False)
 
 
 def test_tag_matching():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     a = np.full(64, 1, dtype=np.uint8)
     b = np.full(64, 2, dtype=np.uint8)
@@ -79,7 +79,7 @@ def test_tag_matching():
 
 
 def test_wildcard_tag():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     pair.nodes[0].dram.cpu_write(src, np.full(32, 9, dtype=np.uint8))
 
@@ -93,7 +93,7 @@ def test_wildcard_tag():
 
 
 def test_truncation_rejected():
-    pair = build_ib_pair()
+    pair = _IBPair()
     src, dst = pair.host_buffers
     pair.nodes[0].dram.cpu_write(src, np.zeros(128, dtype=np.uint8))
 
@@ -109,16 +109,16 @@ def test_truncation_rejected():
 
 def test_rendezvous_slower_start_higher_bandwidth():
     """Eager pays copies; rendezvous pays handshake: crossover behaviour."""
-    small_eager = build_ib_pair()
+    small_eager = _IBPair()
     t_small = exchange(small_eager, 1 * KiB)
-    big = build_ib_pair(mpi_params=MPIParams(eager_threshold=512))
+    big = _IBPair(mpi_params=MPIParams(eager_threshold=512))
     t_big_rndv = exchange(big, 1 * KiB)
     # The same 1 KiB costs more via rendezvous (RTS/CTS round trip).
     assert t_big_rndv > t_small
 
 
 def test_counters():
-    pair = build_ib_pair()
+    pair = _IBPair()
     exchange(pair, 128)
     assert pair.ranks[0].messages_sent == 1
     assert pair.ranks[0].bytes_sent == 128

@@ -84,16 +84,6 @@ class TestNTB:
         with pytest.raises(ConfigError):
             node.install_adapter(bridge)
 
-    def test_remote_read_supported(self):
-        """Unlike PEACH2 (write-only remote access, §III-F), an NTB
-        window supports reads — completions cross via ID translation."""
-        import numpy as np
-
-        pair = NTBPair()
-        pair.node_b.dram.cpu_write(0xA000, np.arange(16, dtype=np.uint8))
-        data = pair.engine.run_process(pair.remote_read(16))
-        assert data == bytes(range(16))
-
     def test_out_of_window_access_rejected(self):
         from repro.errors import PCIeError
 

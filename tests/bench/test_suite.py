@@ -177,3 +177,20 @@ class TestCliSuite:
         from repro.bench.cli import main
 
         assert main(["suite", "--smoke", "--tiny"]) == 2
+
+    def test_cli_suite_unreadable_render_md_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.bench import suite
+        from repro.bench.cli import main
+
+        def must_not_run(**kwargs):
+            raise AssertionError("run_suite called before the file check")
+
+        monkeypatch.setattr(suite, "run_suite", must_not_run)
+        missing = tmp_path / "missing.md"
+        code = main(["suite", "--tiny", "--no-cache", "--no-journal",
+                     "--render-md", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: cannot read --render-md file")
+        assert len(err.splitlines()) == 1

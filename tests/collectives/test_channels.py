@@ -123,33 +123,3 @@ class TestScheduling:
         assert sched.inflight == 1  # second chain queued behind channel 2
         cluster.engine.run_process(sched.drain())
         assert sched.chains_per_channel() == {2: 2}
-
-
-class TestDmaHooks:
-    def test_idle_channels_and_busy_flags(self):
-        cluster = make_cluster()
-        comm = TCAComm(cluster)
-        dma = cluster.board(0).chip.dma
-        assert dma.idle_channels() == list(range(dma.num_channels))
-        sched = ChannelScheduler(cluster, 0)
-        sched.submit(chain_to(cluster, comm, 1, 0))
-        # Step until the doorbell store has reached the chip.
-        for _ in range(1000):
-            if any(dma.is_busy(ch) for ch in range(dma.num_channels)):
-                break
-            cluster.engine.step()
-        busy = [ch for ch in range(dma.num_channels) if dma.is_busy(ch)]
-        assert len(busy) == 1
-        cluster.engine.run_process(sched.drain())
-        assert dma.idle_channels() == list(range(dma.num_channels))
-
-    def test_driver_channel_pending_tracks_submission(self):
-        cluster = make_cluster()
-        comm = TCAComm(cluster)
-        driver = cluster.driver(0)
-        sched = ChannelScheduler(cluster, 0)
-        assert not any(driver.channel_pending(ch) for ch in range(4))
-        sched.submit(chain_to(cluster, comm, 1, 0))
-        assert any(driver.channel_pending(ch) for ch in range(4))
-        cluster.engine.run_process(sched.drain())
-        assert not any(driver.channel_pending(ch) for ch in range(4))

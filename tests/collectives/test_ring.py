@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import (TCACollectives, ring_allgather,
-                               ring_allreduce, ring_barrier,
-                               ring_broadcast, ring_reduce_scatter)
+                               ring_allreduce, ring_barrier, ring_broadcast)
 from repro.errors import ConfigError
 from repro.hw.node import NodeParams
 from repro.tca.subcluster import DUAL_RING, TCASubCluster
@@ -39,28 +38,18 @@ class TestAllgather:
 
 
 class TestReduceScatter:
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_each_rank_owns_its_reduced_chunk(self, n):
-        cluster = make_cluster(n)
-        vecs = vectors(n, 1024)
-        owned = TCACollectives(cluster).reduce_scatter(vecs)
-        total = vecs[0].copy()
-        for v in vecs[1:]:
-            total = total + v
-        chunk_words = 1024 // n
-        for rank in range(n):
-            lo = ((rank + 1) % n) * chunk_words
-            assert np.array_equal(owned[rank], total[lo:lo + chunk_words])
+    """Input checks of allreduce's reduce-scatter phase, which splits
+    every vector into one equal chunk per ring position."""
 
     def test_indivisible_vector_rejected(self):
         with pytest.raises(ConfigError):
-            TCACollectives(make_cluster(3)).reduce_scatter(vectors(3, 1000))
+            TCACollectives(make_cluster(3)).allreduce(vectors(3, 1000))
 
     def test_mismatched_lengths_rejected(self):
         vecs = vectors(2, 64)
         vecs[1] = vecs[1][:32]
         with pytest.raises(ConfigError):
-            TCACollectives(make_cluster(2)).reduce_scatter(vecs)
+            TCACollectives(make_cluster(2)).allreduce(vecs)
 
 
 class TestAllreduce:
@@ -120,12 +109,13 @@ class TestBroadcast:
         assert all(np.array_equal(results[0], r) for r in results)
 
     def test_dual_ring_broadcast(self):
+        """A dual ring broadcasts over one flat logical ring."""
         results = ring_broadcast(make_cluster(8, topology=DUAL_RING),
                                  nbytes=65536, root=5)
         assert all(np.array_equal(results[0], r) for r in results)
 
     def test_root_overlaps_puts_across_channels(self):
-        """Bulk dual-ring broadcast: root's S, E and W puts coexist."""
+        """Bulk broadcast: the root's E and W puts coexist."""
         cluster = make_cluster(8, topology=DUAL_RING)
         coll = TCACollectives(cluster)
         rng = np.random.default_rng(5)

@@ -71,14 +71,6 @@ class TestComputeNode:
         with pytest.raises(ConfigError):
             node.dram_alloc(node.params.dram_bytes)
 
-    def test_peach2_socket_gpus(self, engine):
-        node = ComputeNode(engine, "n", NodeParams(num_gpus=4))
-        node.enumerate()
-        assert node.gpu_on_peach2_socket(0) is node.gpus[0]
-        assert node.gpu_on_peach2_socket(1) is node.gpus[1]
-        with pytest.raises(ConfigError, match="QPI"):
-            node.gpu_on_peach2_socket(2)
-
     def test_bus_read_write_dram(self, node):
         data = np.arange(32, dtype=np.uint8)
         addr = node.dram_alloc(64)

@@ -3,7 +3,7 @@
 import json
 
 from repro.bench.suite import run_suite
-from repro.obs.runlog import PS_PER_WALL_NS, RunLog, worker_clock
+from repro.obs.runlog import PS_PER_WALL_NS, RunLog
 
 
 def _fake_clock(ticks):
@@ -64,11 +64,6 @@ def test_metrics_share_the_wall_clock():
     hist = summary["metrics"]["suite.cache.hit_us"]
     assert hist["count"] == 1
     assert hist["max"] == (200 * PS_PER_WALL_NS) / 1e6
-
-
-def test_worker_clock_shares_parent_origin():
-    clock = worker_clock(5000, clock_ns=_fake_clock([5600]))
-    assert clock() == 600 * PS_PER_WALL_NS
 
 
 def test_suite_payloads_identical_with_and_without_runlog():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hw.bios import BIOS, MOTHERBOARDS
-from repro.pcie.config_space import (CAP_MSI, CAP_PCIE, Capability,
+from repro.pcie.config_space import (CAP_MSI, Capability,
                                      ConfigSpace, VENDOR_NVIDIA)
 from repro.units import GiB, KiB
 
@@ -61,22 +61,6 @@ class TestConfigSpace:
         with pytest.raises(ConfigError, match="unprogrammed"):
             space.enable()
 
-    def test_size_mask(self):
-        space = make_space()
-        mask = space.bars[1].size_mask
-        assert mask & (8 * GiB - 1) == 0
-        assert mask & (8 * GiB) == 8 * GiB
-
-    def test_capabilities(self):
-        space = make_space()
-        assert space.has_capability(CAP_MSI)
-        assert not space.has_capability(CAP_PCIE)
-
-    def test_describe(self):
-        space = make_space()
-        text = space.describe()
-        assert "10de:1028" in text
-        assert "BAR1" in text and "unassigned" in text
 
 
 class TestBIOSScan:
@@ -89,16 +73,12 @@ class TestBIOSScan:
         assert space.bars[1].assigned_base == regions[1].base
         assert regions[1].base % (8 * GiB) == 0
 
-    def test_lspci_lists_scanned_functions(self):
-        bios = BIOS(MOTHERBOARDS["Intel S2600IP"])
-        bios.scan_function(make_space())
-        assert "gpu0" in bios.lspci()
-
     def test_node_scan_produces_enabled_functions(self, peach2_node):
         node, board = peach2_node
         assert board.config_space.enabled
         for gpu in node.gpus:
             assert gpu.config_space.enabled
             assert gpu.config_space.bars[1].assigned_base == gpu.bar1.base
-        listing = node.bios.lspci()
-        assert "1813:7002" in listing  # PEACH2's experimental vendor:device
+        # PEACH2's experimental vendor:device.
+        assert (board.config_space.vendor_id,
+                board.config_space.device_id) == (0x1813, 0x7002)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import PCIeError
-from repro.pcie.packetizer import (count_write_tlps, split_read_requests,
-                                   split_transfer)
+from repro.pcie.packetizer import split_read_requests, split_transfer
 
 
 def test_small_transfer_single_chunk():
@@ -48,12 +47,6 @@ def test_bad_mps_rejected():
 def test_read_requests_use_mrrs():
     chunks = split_read_requests(0, 1024, mrrs=512)
     assert chunks == [(0, 512), (512, 512)]
-
-
-def test_count_write_tlps():
-    assert count_write_tlps(4096) == 16
-    assert count_write_tlps(1) == 1
-    assert count_write_tlps(0) == 0
 
 
 def test_chunks_are_contiguous():

@@ -1,20 +1,19 @@
 """Property tests holding the packetizer fast paths to the greedy walk.
 
-``repro.pcie.packetizer`` has three implementations of the same split:
-the greedy scalar generator ``_split`` (the definition), the vectorized
-``_split_vectorized`` used for long aligned transfers, and the
-closed-form ``count_write_tlps``.  Their docstrings promise this file
-keeps them equal — chunk for chunk, count for count — over random
-addresses, lengths and chunk limits, including the unaligned cases the
-vectorized path must refuse.
+``repro.pcie.packetizer`` has two implementations of the same split:
+the greedy scalar generator ``_split`` (the definition) and the
+vectorized ``_split_vectorized`` used for long aligned transfers.  This
+file keeps them equal, chunk for chunk, over random addresses, lengths
+and chunk limits, including the unaligned cases the vectorized path
+must refuse.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.pcie.packetizer import (PAGE_BOUNDARY, _split, count_write_tlps,
-                                   split_read_requests, split_transfer)
+from repro.pcie.packetizer import (PAGE_BOUNDARY, _split, split_read_requests,
+                                   split_transfer)
 
 # Chunk limits that divide the page (the hardware-plausible MPS/MRRS
 # ladder) plus awkward ones that do not.
@@ -37,12 +36,6 @@ def test_split_transfer_matches_greedy_walk(address, nbytes, mps):
 def test_split_read_requests_matches_greedy_walk(address, nbytes, mrrs):
     assert split_read_requests(address, nbytes, mrrs) == \
         list(_split(address, nbytes, mrrs))
-
-
-@given(_addresses, _lengths, _limits)
-def test_count_write_tlps_matches_split_length(address, nbytes, mps):
-    assert count_write_tlps(nbytes, mps, address=address) == \
-        len(split_transfer(address, nbytes, mps))
 
 
 @given(_addresses, _lengths, _limits)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Delay, Engine, Signal, all_of
+from repro.sim.core import Delay, Engine, Signal
 from repro.units import ns
 
 
@@ -47,14 +47,6 @@ def test_run_until_stops_clock_at_bound(engine):
     assert engine.now_ps == 500
     engine.run()
     assert engine.now_ps == 1000
-
-
-def test_run_max_events(engine):
-    count = [0]
-    for _ in range(5):
-        engine.after(1, lambda: count.__setitem__(0, count[0] + 1))
-    engine.run(max_events=2)
-    assert count[0] == 2
 
 
 def test_step_on_empty_heap_returns_false(engine):
@@ -191,31 +183,71 @@ class TestProcess:
         assert engine.run_process(parent()) == 99
 
 
-class TestAllOf:
-    def test_empty_fires_immediately(self, engine):
-        done = all_of(engine, [])
-        assert done.fired and done.value == []
+class TestRunAll:
+    def test_stops_when_the_last_process_is_done(self, engine):
+        def proc(delay):
+            yield delay
+            return engine.now_ps
 
-    def test_collects_results_in_order(self, engine):
-        s1, s2 = engine.signal(), engine.signal()
-        s2.fire_after(10, "b")
-        s1.fire_after(20, "a")
-        done = all_of(engine, [s1, s2])
-        engine.run()
-        assert done.fired
-        assert done.value == ["a", "b"]
+        procs = [engine.process(proc(d)) for d in (30, 10, 20)]
+        engine.after(100, lambda: None)
+        engine.run_all(procs, "trio")
+        assert [p.result for p in procs] == [30, 10, 20]
+        assert engine.now_ps == 30
+        assert engine.step()  # the later timer is still queued
 
-    def test_mixed_signals_and_processes(self, engine):
+    def test_steps_exactly_like_the_all_done_loop(self):
+        """One step() per pass: step counts, events and clock all match
+        the ``while not all(p.done ...)`` loop it replaces."""
+        def drive(use_run_all):
+            eng = Engine()
+            calls = [0]
+            step = eng.step
+
+            def counted():
+                calls[0] += 1
+                return step()
+
+            eng.step = counted
+            gate = eng.signal()
+
+            def worker(i):
+                for _ in range(3):
+                    yield ns(i + 1)
+                if i == 0:
+                    gate.fire(i)
+                else:
+                    yield gate
+
+            procs = [eng.process(worker(i)) for i in range(4)]
+            if use_run_all:
+                eng.run_all(procs, "workers")
+            else:
+                while not all(p.done for p in procs):
+                    assert eng.step()
+            return calls[0], eng.events_processed, eng.now_ps
+
+        assert drive(True) == drive(False)
+
+    def test_deadlock_names_the_run_and_a_waiting_process(self, engine):
         sig = engine.signal()
-        sig.fire_after(5, "sig")
 
-        def child():
-            yield 10
-            return "proc"
+        def waiter():
+            yield sig  # never fired
 
-        done = all_of(engine, [sig, engine.process(child())])
-        engine.run()
-        assert done.value == ["sig", "proc"]
+        def quick():
+            yield 1
+
+        procs = [engine.process(quick(), name="quick"),
+                 engine.process(waiter(), name="stuck")]
+        with pytest.raises(SimulationError,
+                           match="run 'halo'.*'stuck'"):
+            engine.run_all(procs, "halo")
+
+    def test_no_processes_runs_nothing(self, engine):
+        engine.after(5, lambda: None)
+        engine.run_all([], "empty")
+        assert engine.now_ps == 0 and engine.events_processed == 0
 
 
 def test_determinism_two_identical_runs():

@@ -19,8 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suite import REGISTRY, run_entry
-from repro.sim.core import (DISPATCH_MODES, Engine, default_dispatch,
-                            dispatch_mode)
+from repro.sim.core import DISPATCH_MODES, Engine, dispatch_mode
 
 ENTRIES = sorted(REGISTRY)
 
@@ -77,8 +76,7 @@ class TestEngineLevelEquivalence:
         assert results["fast"] == results["reference"]
 
     def test_dispatch_mode_context_restores_default(self):
-        before = default_dispatch()
+        before = Engine().dispatch
         with dispatch_mode("reference"):
-            assert default_dispatch() == "reference"
             assert Engine().dispatch == "reference"
-        assert default_dispatch() == before
+        assert Engine().dispatch == before

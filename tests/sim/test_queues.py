@@ -74,14 +74,6 @@ class TestStore:
         assert not store.try_put(3)
         assert len(store) == 2
 
-    def test_try_get(self, engine):
-        store = Store(engine)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put("x")
-        ok, item = store.try_get()
-        assert ok and item == "x"
-
     def test_free_slots(self, engine):
         assert Store(engine).free_slots is None
         store = Store(engine, capacity=3)

@@ -44,13 +44,6 @@ class TestAssembly:
 
 
 class TestHybridComm:
-    def test_transport_selection(self, hybrid):
-        comm = HybridComm(hybrid)
-        assert comm.transport_for(0, 1) == "tca"
-        assert comm.transport_for(2, 3) == "tca"
-        assert comm.transport_for(0, 2) == "ib"
-        assert comm.transport_for(1, 3) == "ib"
-
     def test_local_put_uses_tca(self):
         cluster = fresh()
         comm = HybridComm(cluster)
