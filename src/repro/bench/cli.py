@@ -46,17 +46,27 @@ def _registry_runner(spec) -> Callable[[], object]:
     return lambda: spec.run("full")
 
 
-#: Every runnable name: the E1-E19 registry plus the utility commands.
-#: ``suite`` is handled separately (it orchestrates the registry).
+#: Every name the generic loop runs (and ``all`` runs in order): the
+#: E1-E23 registry plus ``validate``.  ``suite``, ``perf``, ``serve``
+#: and ``serve-bench`` have their own entry points.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
     **{name: _registry_runner(spec) for name, spec in REGISTRY.items()},
     "validate": lambda: _validate(),
-    "perf": lambda: _perf(),
 }
 
 
 #: The sweeps whose points ``--engine-workers`` spreads over fork workers.
 MULTI_ENGINE = ("fig7", "fig9")
+
+
+def _session_flag(args) -> Optional[str]:
+    """The first of ``--trace``, ``--metrics`` and ``--fault-plan`` given."""
+    for flag, value in (("--trace", args.trace),
+                        ("--metrics", args.metrics),
+                        ("--fault-plan", args.fault_plan)):
+        if value:
+            return flag
+    return None
 
 
 def _engine_workers_problem(args) -> Optional[str]:
@@ -74,19 +84,31 @@ def _engine_workers_problem(args) -> Optional[str]:
     if args.experiment not in MULTI_ENGINE + ("all",):
         return ("--engine-workers > 1 applies only to "
                 + ", ".join(MULTI_ENGINE) + " and all")
-    for flag, value in (("--trace", args.trace),
-                        ("--metrics", args.metrics),
-                        ("--fault-plan", args.fault_plan)):
-        if value:
-            return (f"--engine-workers > 1 cannot be combined with {flag}:"
-                    " fork workers are not observed; run inline")
+    flag = _session_flag(args)
+    if flag is not None:
+        return (f"--engine-workers > 1 cannot be combined with {flag}:"
+                " fork workers are not observed; run inline")
     return None
 
 
-def _perf():
-    from repro.bench.perf import run_perf
+def _bench_flags_problem(args) -> Optional[str]:
+    """Why ``--bench-json`` or a session flag cannot apply, if it can't.
 
-    return run_perf()
+    Only ``perf`` and ``serve-bench`` write a ``--bench-json`` document,
+    so every other command refuses the flag before it runs.  ``perf``
+    times a bare and an instrumented pass of its own: under the
+    CLI's ``--trace``, ``--metrics`` or ``--fault-plan`` session the
+    bare pass would be observed or faulted too, and the overhead ratio
+    it reports would be wrong.
+    """
+    if args.bench_json and args.experiment not in ("perf", "serve-bench"):
+        return ("--bench-json requires the 'perf' experiment or "
+                "'serve-bench'")
+    flag = _session_flag(args)
+    if args.experiment == "perf" and flag is not None:
+        return (f"perf cannot be combined with {flag}: it times its own "
+                "bare and instrumented passes")
+    return None
 
 
 def _validate() -> str:
@@ -220,25 +242,24 @@ def _load_json(path: str, what: str):
 
 
 def _perf_main(args) -> int:
-    """``tca-bench perf`` with sampler/gate/history flags."""
+    """``tca-bench perf``: the timed run, the sampler and the gate."""
     import os
 
-    from repro.bench import history as hist
-    from repro.bench.perf import PERF_EXPERIMENTS, run_perf, run_profile
+    from repro.bench import perf
 
     names = None
     if args.perf_experiments:
         names = [n.strip() for n in args.perf_experiments.split(",")
                  if n.strip()]
-        unknown = [n for n in names if n not in PERF_EXPERIMENTS]
+        unknown = [n for n in names if n not in perf.PERF_EXPERIMENTS]
         if unknown:
             print(f"error: unknown perf experiments: "
                   f"{', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    threshold = (hist.DEFAULT_THRESHOLD if args.threshold is None
+    threshold = (perf.DEFAULT_THRESHOLD if args.threshold is None
                  else args.threshold)
-    budget = (hist.DEFAULT_OVERHEAD_BUDGET
+    budget = (perf.DEFAULT_OVERHEAD_BUDGET
               if args.overhead_budget is None else args.overhead_budget)
 
     baseline = None
@@ -246,7 +267,7 @@ def _perf_main(args) -> int:
         baseline = _load_json(args.baseline, "baseline")
         if baseline is None:
             return 2
-        problem = hist.validate_perf_doc(
+        problem = perf.validate_perf_doc(
             baseline, f"baseline {args.baseline!r}")
         if problem is not None:
             print(f"error: {problem}", file=sys.stderr)
@@ -255,16 +276,16 @@ def _perf_main(args) -> int:
     payload: Dict[str, object] = {}
     rc = 0
     report = None
-    # --profile alone skips the bare/instrumented timing pass; any
-    # gate/history/baseline work needs the timed report.
-    if args.check or args.history or args.bench_json or not args.profile:
-        report = run_perf(names)
+    # --profile alone skips the bare/instrumented timing pass; the gate
+    # and the benchmark document need the timed report.
+    if args.check or args.bench_json or not args.profile:
+        report = perf.run_perf(names)
         payload["perf"] = report.to_dict()
         if not args.json:
             print(report)
 
     if args.profile:
-        profiles = run_profile(names)
+        profiles = perf.run_profile(names)
         payload["profile"] = {name: rep.to_dict()
                               for name, rep in profiles.items()}
         if not args.json:
@@ -284,16 +305,8 @@ def _perf_main(args) -> int:
             return 1
         print(f"benchmark -> {args.bench_json}", file=sys.stderr)
 
-    if report is not None and args.history:
-        try:
-            hist.append_run(args.history, report.to_dict())
-        except OSError as exc:
-            print(f"error: cannot append history: {exc}", file=sys.stderr)
-            return 1
-        print(f"history -> {args.history}", file=sys.stderr)
-
     if report is not None and baseline is not None:
-        gate = hist.check_against_baseline(
+        gate = perf.check_against_baseline(
             report.to_dict(), baseline,
             baseline_name=os.path.basename(args.baseline),
             threshold=threshold, overhead_budget=budget,
@@ -308,77 +321,6 @@ def _perf_main(args) -> int:
         json.dump(payload, sys.stdout, indent=2, default=str)
         print()
     return rc
-
-
-def _report_main(args) -> int:
-    """``tca-bench report --html``: render the perf dashboard."""
-    import os
-
-    from repro.bench import history as hist
-
-    if not args.html:
-        print("error: report requires --html PATH", file=sys.stderr)
-        return 2
-
-    history = hist.load_history(args.history) if args.history else []
-
-    perf_doc = gate = None
-    if args.perf_json:
-        perf_doc = _load_json(args.perf_json, "perf document")
-        if perf_doc is None:
-            return 2
-        problem = hist.validate_perf_doc(
-            perf_doc, f"perf document {args.perf_json!r}")
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-    if perf_doc is not None and os.path.exists(args.baseline):
-        baseline = _load_json(args.baseline, "baseline")
-        if baseline is None:
-            return 2
-        problem = hist.validate_perf_doc(
-            baseline, f"baseline {args.baseline!r}")
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-        threshold = (hist.DEFAULT_THRESHOLD if args.threshold is None
-                     else args.threshold)
-        budget = (hist.DEFAULT_OVERHEAD_BUDGET
-                  if args.overhead_budget is None
-                  else args.overhead_budget)
-        gate = hist.check_against_baseline(
-            perf_doc, baseline,
-            baseline_name=os.path.basename(args.baseline),
-            threshold=threshold, overhead_budget=budget)
-
-    suite_doc = None
-    if args.suite_report:
-        suite_doc = _load_json(args.suite_report, "suite report")
-        if suite_doc is None:
-            return 2
-
-    profiles = None
-    if args.profile_json:
-        doc = _load_json(args.profile_json, "profile document")
-        if doc is None:
-            return 2
-        # Accept both the bare {name: profile} map and the full
-        # 'perf --profile --json' stdout document wrapping it.
-        profiles = doc.get("profile", doc) if isinstance(doc, dict) \
-            else None
-
-    page = hist.render_dashboard(history=history, perf_doc=perf_doc,
-                                 gate=gate, suite_doc=suite_doc,
-                                 profiles=profiles)
-    from repro.bench.ioutil import atomic_write_text
-
-    try:
-        atomic_write_text(args.html, page)
-    except OSError as exc:
-        print(f"error: cannot write dashboard: {exc}", file=sys.stderr)
-        return 1
-    print(f"dashboard -> {args.html}", file=sys.stderr)
-    return 0
 
 
 def render(result: object, chart: bool = False) -> str:
@@ -439,9 +381,9 @@ def main(argv=None) -> int:
                              "byte-identical to the inline run "
                              "(default 1, inline)")
     parser.add_argument("--bench-json", metavar="PATH", default=None,
-                        help="with the 'perf' experiment: write the "
-                             "wall-clock benchmark document to PATH "
-                             "(see docs/performance.md)")
+                        help="with 'perf' or 'serve-bench': write the "
+                             "benchmark document to PATH (see "
+                             "docs/performance.md, docs/serving.md)")
     group = parser.add_argument_group(
         "suite options", "only meaningful with the 'suite' experiment "
         "(see docs/experiments.md)")
@@ -483,8 +425,8 @@ def main(argv=None) -> int:
                             "finished payloads and re-execute only the "
                             "unfinished entries")
     perf_group = parser.add_argument_group(
-        "perf options", "only meaningful with the 'perf' experiment or "
-        "the 'report' subcommand (see docs/performance.md)")
+        "perf options", "only meaningful with the 'perf' experiment "
+        "(see docs/performance.md)")
     perf_group.add_argument("--profile", action="store_true",
                             help="sample host time per experiment and "
                                  "print its layer shares and top sites")
@@ -509,9 +451,6 @@ def main(argv=None) -> int:
                             metavar="RATIO",
                             help="maximum instrumented/bare overhead "
                                  "ratio (default 3.0)")
-    perf_group.add_argument("--history", metavar="PATH", default=None,
-                            help="perf-history JSONL: 'perf' appends "
-                                 "this run; 'report' plots the trend")
     perf_group.add_argument("--perf-experiments", metavar="NAMES",
                             default=None,
                             help="comma-separated subset of the perf "
@@ -554,38 +493,18 @@ def main(argv=None) -> int:
                              default=None, metavar="X",
                              help="serve-bench: exit nonzero unless "
                                   "cold-compute / warm-p50 >= X")
-    report_group = parser.add_argument_group(
-        "report options", "only meaningful with the 'report' subcommand")
-    report_group.add_argument("--html", metavar="PATH", default=None,
-                              help="write the self-contained dashboard "
-                                   "HTML to PATH")
-    report_group.add_argument("--perf-json", metavar="PATH", default=None,
-                              help="latest tca-bench-perf/1 document "
-                                   "(overhead ratios; gated against "
-                                   "--baseline when that file exists)")
-    report_group.add_argument("--suite-report", metavar="PATH",
-                              default=None,
-                              help="tca-bench-suite/1 report JSON "
-                                   "(anchor pass/fail)")
-    report_group.add_argument("--profile-json", metavar="PATH",
-                              default=None,
-                              help="profile document from "
-                                   "'perf --profile --json' (hotspots)")
     args = parser.parse_args(argv)
 
-    problem = _engine_workers_problem(args)
+    problem = _engine_workers_problem(args) or _bench_flags_problem(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
 
     if args.list or args.experiment is None:
         print("available experiments:")
-        for name in EXPERIMENTS:
+        for name in (*EXPERIMENTS, "perf", "suite", "serve",
+                     "serve-bench"):
             print(f"  {name}")
-        print("  suite")
-        print("  serve")
-        print("  serve-bench")
-        print("  report")
         return 0
 
     if args.experiment == "suite":
@@ -601,12 +520,7 @@ def main(argv=None) -> int:
 
         return loadtest_main(args)
 
-    if args.experiment == "report":
-        return _report_main(args)
-
-    if args.experiment == "perf" and (args.profile or args.check
-                                      or args.history
-                                      or args.perf_experiments):
+    if args.experiment == "perf":
         return _perf_main(args)
 
     names = list(EXPERIMENTS) if args.experiment == "all" \
@@ -654,22 +568,6 @@ def main(argv=None) -> int:
 
     if faults is not None:
         print(faults.summary(), file=sys.stderr)
-
-    if args.bench_json:
-        perf_report = results.get("perf")
-        if perf_report is None:
-            print("error: --bench-json requires the 'perf' experiment",
-                  file=sys.stderr)
-            return 2
-        try:
-            with open(args.bench_json, "w", encoding="utf-8") as fh:
-                json.dump(perf_report.to_dict(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write benchmark output: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"benchmark -> {args.bench_json}", file=sys.stderr)
 
     if obs is not None:
         try:

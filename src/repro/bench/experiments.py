@@ -1,4 +1,4 @@
-"""One entry point per paper table/figure (the E1-E14 index in DESIGN.md).
+"""One entry point per paper table/figure (the E1-E23 index in DESIGN.md).
 
 Each function builds fresh rigs, runs the sweep, and returns a
 :class:`~repro.bench.series.SweepTable` (or a dict for scalar results)
@@ -417,6 +417,35 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
 
 # -- E19: ring contention (§II-B's scaling limit) -----------------------------------------------------------
 
+def _shift_traffic(cluster: TCASubCluster, partner: Callable[[int], int],
+                   nbytes: int, name: str) -> int:
+    """Every node DMA-puts ``nbytes`` to ``partner(node)`` at once.
+
+    Each flow is one chain of 4 KiB descriptors from the source chip's
+    BAR2 into the partner's DMA buffer.  Returns the slowest flow's
+    elapsed picoseconds; E19 and E23 both measure with it.
+    """
+    engine = cluster.engine
+    comm_map = cluster.address_map
+
+    def flow(src: int):
+        dst = partner(src)
+        driver = cluster.driver(src)
+        chip = cluster.board(src).chip
+        target = comm_map.global_address(
+            dst, 2, cluster.driver(dst).dma_buffer(0))
+        chain = [DMADescriptor(chip.bar2.base + i * 4096,
+                               target + i * 4096, 4096)
+                 for i in range(nbytes // 4096)]
+        elapsed = yield engine.process(driver.run_chain(0, chain))
+        return elapsed
+
+    procs = [engine.process(flow(src), name=f"flow{src}")
+             for src in range(cluster.num_nodes)]
+    engine.run_all(procs, name)
+    return max(p.result for p in procs)
+
+
 def contention(ring_sizes: Sequence[int] = (4, 8, 16),
                nbytes: int = 256 * KiB) -> SweepTable:
     """All-nodes-shift traffic on the ring: per-flow bandwidth vs distance.
@@ -426,37 +455,15 @@ def contention(ring_sizes: Sequence[int] = (4, 8, 16),
     occupy k consecutive ring links, so per-flow bandwidth falls as ~1/k —
     the congestion reason (besides latency, E12) sub-clusters stay small.
     """
-    import numpy as np
-
-    from repro.peach2.descriptor import DMADescriptor
-    from repro.units import bw_gbytes_per_s
-
     table = SweepTable("E19: simultaneous k-hop shifts — per-flow bandwidth",
                        x_label="hop distance", x_is_size=False)
     for n in ring_sizes:
         max_hops = n // 2
         for hops in sorted({1, 2, max_hops}):
             cluster = TCASubCluster(n, node_params=NodeParams(num_gpus=1))
-            engine = cluster.engine
-            comm_map = cluster.address_map
-
-            def flow(src: int):
-                dst = (src + hops) % n
-                driver = cluster.driver(src)
-                chip = cluster.board(src).chip
-                target = comm_map.global_address(
-                    dst, 2, cluster.driver(dst).dma_buffer(0))
-                chain = [DMADescriptor(chip.bar2.base + i * 4096,
-                                       target + i * 4096, 4096)
-                         for i in range(nbytes // 4096)]
-                elapsed = yield engine.process(
-                    driver.run_chain(0, chain))
-                return elapsed
-
-            procs = [engine.process(flow(src), name=f"flow{src}")
-                     for src in range(n)]
-            engine.run_all(procs, "contention")
-            worst = max(p.result for p in procs)
+            worst = _shift_traffic(cluster,
+                                   lambda src: (src + hops) % n,
+                                   nbytes, "contention")
             table.add(f"{n}-node ring", hops,
                       bw_gbytes_per_s(nbytes, worst))
     return table
@@ -638,8 +645,6 @@ def bisection(node_counts: Sequence[int] = (16, 64),
                 ("torus", {"topology": TORUS, "extents": (side, side)})):
             cluster = TCASubCluster(n, node_params=NodeParams(num_gpus=1),
                                     **kwargs)
-            engine = cluster.engine
-            comm_map = cluster.address_map
 
             def partner(src: int) -> int:
                 if label == "torus":
@@ -648,22 +653,7 @@ def bisection(node_counts: Sequence[int] = (16, 64),
                     return cluster.geometry.index_of(coords)
                 return (src + n // 2) % n
 
-            def flow(src: int):
-                dst = partner(src)
-                driver = cluster.driver(src)
-                chip = cluster.board(src).chip
-                target = comm_map.global_address(
-                    dst, 2, cluster.driver(dst).dma_buffer(0))
-                chain = [DMADescriptor(chip.bar2.base + i * 4096,
-                                       target + i * 4096, 4096)
-                         for i in range(nbytes // 4096)]
-                elapsed = yield engine.process(driver.run_chain(0, chain))
-                return elapsed
-
-            procs = [engine.process(flow(src), name=f"bisect{src}")
-                     for src in range(n)]
-            engine.run_all(procs, "bisection")
-            worst = max(p.result for p in procs)
+            worst = _shift_traffic(cluster, partner, nbytes, "bisection")
             table.add(label, n, n * bw_gbytes_per_s(nbytes, worst))
     return table
 

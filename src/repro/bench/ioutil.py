@@ -1,18 +1,17 @@
 """Crash-safe file I/O shared by the cache, the journal, and the CLI.
 
 Every artifact the bench layer writes — cache entries, conformance
-reports, regenerated EXPERIMENTS.md tables, benchmark documents, the
-dashboard — goes through :func:`atomic_write_text`: the bytes land in a
-same-directory temporary file, are flushed and ``fsync``'d, and only
-then renamed over the destination.  A reader (or a resumed run) can
-therefore never observe a torn file: it sees either the complete old
-content or the complete new content, even if the writer is SIGKILLed
-mid-write (``tests/bench/test_suite_robustness.py`` kills a writer to
-pin this).
+reports, regenerated EXPERIMENTS.md tables, benchmark documents — goes
+through :func:`atomic_write_text`: the bytes land in a same-directory
+temporary file, are flushed and ``fsync``'d, and only then renamed over
+the destination.  A reader (or a resumed run) can therefore never
+observe a torn file: it sees either the complete old content or the
+complete new content, even if the writer is SIGKILLed mid-write
+(``tests/bench/test_suite_robustness.py`` kills a writer to pin this).
 
-Append-only files (the run journal, perf history) cannot use
-rename-replace; they get :func:`fsync_file` per record plus a reader
-that tolerates a torn final line.
+The append-only run journal cannot use rename-replace; it gets
+:func:`fsync_file` per record plus a reader that tolerates a torn final
+line.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
-"""Perf history store, the regression gate, and the HTML dashboard."""
+"""The perf regression gate and perf-document validation."""
 
 import json
 
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.history import (DEFAULT_OVERHEAD_BUDGET, DEFAULT_THRESHOLD,
-                                 HISTORY_SCHEMA, append_run,
-                                 check_against_baseline, experiment_stats,
-                                 load_history, render_dashboard,
-                                 validate_perf_doc)
+from repro.bench.perf import (DEFAULT_OVERHEAD_BUDGET, DEFAULT_THRESHOLD,
+                              check_against_baseline, experiment_stats,
+                              validate_perf_doc)
 
 
 def perf_doc(bare_eps=100_000.0, overhead=2.0, name="fig9"):
@@ -34,24 +32,7 @@ def perf_doc(bare_eps=100_000.0, overhead=2.0, name="fig9"):
 
 
 class TestHistory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        assert load_history(path) == []
-        entry = append_run(path, perf_doc(), label="pr6")
-        append_run(path, perf_doc(bare_eps=90_000.0))
-        loaded = load_history(path)
-        assert len(loaded) == 2
-        assert loaded[0] == entry
-        assert loaded[0]["schema"] == HISTORY_SCHEMA
-        assert loaded[0]["label"] == "pr6"
-        assert loaded[0]["experiments"]["fig9"]["overhead_ratio"] == 2.0
-
-    def test_history_lines_are_compact_jsonl(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        append_run(path, perf_doc())
-        (line,) = (tmp_path / "history.jsonl").read_text().splitlines()
-        assert "\n" not in line and ": " not in line  # one compact line
-        assert json.loads(line)["totals"]["overhead_ratio"] == 2.0
+    """The per-experiment numbers the gate compares."""
 
     def test_experiment_stats(self):
         stats = experiment_stats(perf_doc(bare_eps=50_000.0, overhead=1.5))
@@ -171,12 +152,6 @@ class TestCLIGate:
         assert rc == 2
         assert "unknown perf experiment" in capsys.readouterr().err
 
-    def test_history_appended_via_cli(self, tiny_perf, tmp_path):
-        history = tmp_path / "history.jsonl"
-        assert main(["perf", "--history", str(history)]) == 0
-        assert main(["perf", "--history", str(history)]) == 0
-        assert len(load_history(str(history))) == 2
-
     def test_json_includes_gate_document(self, tiny_perf, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(perf_doc(name="tiny",
@@ -188,76 +163,6 @@ class TestCLIGate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gate"]["schema"] == "tca-bench-gate/1"
         assert payload["perf"]["schema"] == "tca-bench-perf/1"
-
-
-class TestDashboard:
-    def _history(self, n=3):
-        return [json.loads(json.dumps({
-            "schema": HISTORY_SCHEMA, "unix_time": 1_700_000_000.0 + i,
-            "label": f"run{i}", "python": "3.11.7",
-            "totals": {"events_per_s": 100_000.0 + i * 1000},
-            "experiments": {"fig9": {"bare_events_per_s": 100_000.0 + i,
-                                     "overhead_ratio": 2.0}},
-        })) for i in range(n)]
-
-    def test_dashboard_is_self_contained(self):
-        page = render_dashboard(history=self._history(),
-                                perf_doc=perf_doc(),
-                                gate=check_against_baseline(perf_doc(),
-                                                            perf_doc()))
-        assert page.startswith("<!doctype html>")
-        assert "<script" not in page
-        assert "http://" not in page and "https://" not in page
-        assert "<svg" in page  # the trend chart rendered
-        assert "light-dark(" in page  # dark mode is selected, not flipped
-
-    def test_dashboard_sections_follow_inputs(self):
-        bare = render_dashboard()
-        assert "Throughput trend" not in bare
-        assert "Gate checks" not in bare
-        suite_doc = {"summary": {"anchors_pass": 5, "anchors_fail": 0},
-                     "anchors": [{"name": "a", "section": "§V",
-                                  "paper": 1.0, "measured": 1.0,
-                                  "status": "pass"}]}
-        profiles = {"fig9": {"hotspots": [
-            {"layer": "sim", "samples": 10, "share": 0.25,
-             "wall_ns": 5_000_000,
-             "site": "repro.sim.core.Process._step"}]}}
-        full = render_dashboard(history=self._history(),
-                                perf_doc=perf_doc(),
-                                gate=check_against_baseline(perf_doc(),
-                                                            perf_doc()),
-                                suite_doc=suite_doc, profiles=profiles)
-        for section in ("Anchors", "Throughput trend", "Recorded runs",
-                        "Observability overhead", "Gate checks",
-                        "Top hotspots"):
-            assert section in full, section
-
-    def test_single_run_history_skips_trend(self):
-        page = render_dashboard(history=self._history(1))
-        assert "Throughput trend" not in page
-        assert "Recorded runs" in page
-
-    def test_status_color_always_paired_with_text(self):
-        gate = check_against_baseline(perf_doc(bare_eps=1.0),
-                                      perf_doc(bare_eps=1e9))
-        page = render_dashboard(perf_doc=perf_doc(bare_eps=1.0), gate=gate)
-        assert "FAIL" in page  # never color alone
-
-    def test_report_cli_writes_dashboard(self, tmp_path, capsys):
-        out = tmp_path / "dash.html"
-        perf_path = tmp_path / "perf.json"
-        perf_path.write_text(json.dumps(perf_doc()))
-        rc = main(["report", "--html", str(out),
-                   "--perf-json", str(perf_path),
-                   "--baseline", str(tmp_path / "absent.json")])
-        assert rc == 0
-        assert "dashboard ->" in capsys.readouterr().err
-        assert out.read_text().startswith("<!doctype html>")
-
-    def test_report_cli_requires_html(self, capsys):
-        assert main(["report"]) == 2
-        assert "--html" in capsys.readouterr().err
 
 
 class TestValidatePerfDoc:
@@ -301,11 +206,3 @@ class TestValidatePerfDoc:
         err = capsys.readouterr().err
         assert "error:" in err and "regenerate" in err
         assert "Traceback" not in err
-
-    def test_report_rejects_malformed_perf_json(self, tmp_path, capsys):
-        bad = tmp_path / "perf.json"
-        bad.write_text(json.dumps({"results": "not-a-list"}))
-        rc = main(["report", "--html", str(tmp_path / "d.html"),
-                   "--perf-json", str(bad)])
-        assert rc == 2
-        assert "regenerate" in capsys.readouterr().err

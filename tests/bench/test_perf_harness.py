@@ -109,13 +109,45 @@ class TestPerfCLI:
         doc = json.loads(out.read_text())
         assert doc["schema"] == "tca-bench-perf/1"
         assert doc["results"][0]["experiment"] == "tiny"
+        bare, instrumented = doc["results"]
+        assert bare["events"] == instrumented["events"]
         assert capsys.readouterr().out.count("tiny") >= 2
 
-    def test_bench_json_requires_perf_experiment(self, tmp_path, capsys):
+    def test_bench_json_requires_perf_experiment(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from repro.bench import cli, suite
+        from repro.serve import server
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before --bench-json was refused")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "theory", must_not_run)
+        monkeypatch.setattr(suite, "run_suite", must_not_run)
+        monkeypatch.setattr(server, "serve_main", must_not_run)
         out = tmp_path / "bench.json"
-        assert main(["theory", "--bench-json", str(out)]) == 2
-        assert "requires the 'perf' experiment" in capsys.readouterr().err
+        for command in ("theory", "all", "suite", "serve"):
+            assert main([command, "--bench-json", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "requires the 'perf' experiment" in err, command
         assert not out.exists()
+
+    def test_perf_refuses_session_flags_before_running(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # Under the CLI's observability or fault session the bare pass
+        # would be instrumented too and the overhead ratio wrong.
+        def must_not_run(names=None):
+            raise AssertionError("perf ran under a session flag")
+
+        monkeypatch.setattr("repro.bench.perf.run_perf", must_not_run)
+        for flags in (["--trace", str(tmp_path / "t.json")],
+                      ["--metrics", str(tmp_path / "m.json")],
+                      ["--fault-plan", "chaos:7"]):
+            assert main(["perf", *flags]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"error: perf cannot be combined with "
+                                  f"{flags[0]}")
+            assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_perf_json_payload(self, tiny_perf, capsys):
         assert main(["perf", "--json"]) == 0

@@ -163,15 +163,17 @@ class TestCliSuite:
         from repro.bench.cli import main
 
         report_path = tmp_path / "report.json"
+        journal_dir = tmp_path / "journal"
         code = main(["suite", "--tiny", "--cache-dir",
                      str(tmp_path / "cache"), "--report", str(report_path),
-                     "--json"])
+                     "--journal-dir", str(journal_dir), "--json"])
         assert code == 0
         doc = json.loads(report_path.read_text())
         assert doc["schema"] == SCHEMA
         assert doc["summary"]["experiments"] == 23
         payloads = json.loads(capsys.readouterr().out)
         assert set(payloads) == set(REGISTRY)
+        assert len(list(journal_dir.glob("*-tiny-s0-*.jsonl"))) == 1
 
     def test_cli_suite_smoke_tiny_conflict(self, capsys):
         from repro.bench.cli import main

@@ -98,7 +98,7 @@ def test_engine_workers_only_apply_to_sweeps(command, monkeypatch, capsys):
     def ran(*args):
         raise AssertionError(f"{command} ran despite --engine-workers 2")
 
-    for module, name in ((cli, "_suite_main"), (cli, "_perf"),
+    for module, name in ((cli, "_suite_main"), (cli, "_perf_main"),
                          (server, "serve_main")):
         monkeypatch.setattr(module, name, ran)
     assert main([command, "--engine-workers", "2"]) == 2

@@ -345,14 +345,6 @@ def sweep_steps(root: Path) -> List[Step]:
                  "--events-floor", "100000", "--overhead-budget", "4"],
         Command(bench + ["perf", "--perf-experiments", "contention",
                          "--profile", "--json"], stdout="profile.json"),
-        bench + ["perf", "--history", "perf-history.jsonl",
-                 "--perf-experiments", "contention",
-                 "--bench-json", "perf-tiny.json"],
-        bench + ["report", "--html", "dashboard.html",
-                 "--history", "perf-history.jsonl",
-                 "--perf-json", "perf-run.json", "--baseline", baseline,
-                 "--threshold", "0.6", "--suite-report", "suite-report.json",
-                 "--profile-json", "profile.json"],
     ]
     # Every example, tiny mode.
     for example in sorted((root / "examples").glob("*.py")):
