@@ -12,14 +12,12 @@ itself is plain numpy plus a modelled compute delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.tca.comm import TCAComm
 from repro.tca.subcluster import TCASubCluster
-from repro.units import us
 
 
 @dataclass

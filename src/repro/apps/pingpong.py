@@ -7,8 +7,6 @@ time is halved — the way the paper derives its 782 ns figure (§IV-B1).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.tca.comm import TCAComm
 from repro.tca.subcluster import TCASubCluster

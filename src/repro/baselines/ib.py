@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.pcie.port import Port, PortRole
 from repro.pcie.tlp import TLP, TLPKind, make_read, make_write
 from repro.sim.core import Engine, Signal
 from repro.sim.queues import Resource, Store
-from repro.units import KiB, ns, transfer_ps, us
+from repro.units import KiB, ns, transfer_ps
 
 
 @dataclass(frozen=True)

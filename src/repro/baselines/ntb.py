@@ -18,11 +18,9 @@ windows.  The §V critique is modelled faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.errors import ConfigError, PCIeError
+from repro.errors import PCIeError
 from repro.hw.node import ComputeNode, NodeParams
 from repro.pcie.address import Region
 from repro.pcie.config_space import (CAP_PCIE, Capability, ConfigSpace,

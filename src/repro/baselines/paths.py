@@ -17,11 +17,11 @@ latencies and bandwidths are directly comparable across:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.baselines.ib import IBHca, IBLink, IBParams, QDR_PARAMS, install_hca
+from repro.baselines.ib import IBLink, IBParams, QDR_PARAMS, install_hca
 from repro.baselines.mpi import MPIParams, MPIWorld
 from repro.cuda.pointer import CU_POINTER_ATTRIBUTE_P2P_TOKENS
 from repro.cuda.runtime import CudaContext

@@ -34,9 +34,8 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
-from repro.bench import experiments
 from repro.bench.experiments import REGISTRY
 from repro.bench.series import SweepTable
 from repro.errors import ReproError
@@ -58,6 +57,66 @@ EXPERIMENTS: Dict[str, Callable[[], object]] = {
 #: The sweeps whose points ``--engine-workers`` spreads over fork workers.
 MULTI_ENGINE = ("fig7", "fig9")
 
+_EXPERIMENTS = "the experiments"
+_SWEEPS = "fig7, fig9 and all"
+
+#: The options each command reads, by argparse ``dest``.  Every command
+#: of the generic loop (the E1-E23 names, ``validate`` and ``all``)
+#: reads the first set, and the sweeps and ``all`` the second too.  An
+#: option set away from its default on a command that does not read it
+#: is refused before anything runs.
+COMMAND_OPTIONS: Dict[str, FrozenSet[str]] = {
+    _EXPERIMENTS: frozenset({"chart", "json", "trace", "metrics",
+                             "fault_plan"}),
+    _SWEEPS: frozenset({"engine_workers"}),
+    "suite": frozenset({"json", "shards", "smoke", "tiny", "cache_dir",
+                        "no_cache", "force", "seed", "report", "render_md",
+                        "trace_out", "journal_dir", "no_journal",
+                        "resume"}),
+    "perf": frozenset({"json", "bench_json", "profile", "check",
+                       "baseline", "threshold", "events_floor",
+                       "overhead_budget", "perf_experiments"}),
+    "serve": frozenset({"host", "port", "serve_workers", "seed",
+                        "cache_dir", "journal_dir", "no_journal"}),
+    "serve-bench": frozenset({"entry", "serve_bench_mode", "requests",
+                              "concurrency", "coalesce", "assert_speedup",
+                              "serve_workers", "seed", "cache_dir",
+                              "bench_json"}),
+}
+
+
+def _options_read(command: str) -> Optional[FrozenSet[str]]:
+    """The option dests ``command`` reads; None for an unknown command."""
+    if command in COMMAND_OPTIONS:
+        return COMMAND_OPTIONS[command]
+    if command not in EXPERIMENTS and command != "all":
+        return None
+    reads = COMMAND_OPTIONS[_EXPERIMENTS]
+    if command in MULTI_ENGINE + ("all",):
+        reads = reads | COMMAND_OPTIONS[_SWEEPS]
+    return reads
+
+
+def _unread_options_problem(args, defaults: Dict[str, object]
+                            ) -> Optional[str]:
+    """Name every option the command would silently ignore, if any."""
+    reads = _options_read(args.experiment) if args.experiment else None
+    if reads is None or args.list:
+        return None
+    unread = []
+    for dest, default in defaults.items():
+        if (dest in ("experiment", "list") or dest in reads
+                or getattr(args, dest) == default):
+            continue
+        readers = [name for name, dests in COMMAND_OPTIONS.items()
+                   if dest in dests]
+        said = (readers[0] if len(readers) == 1 else
+                ", ".join(readers[:-1]) + " and " + readers[-1])
+        unread.append(f"--{dest.replace('_', '-')} ({said})")
+    if not unread:
+        return None
+    return f"{args.experiment!r} does not read " + ", ".join(unread)
+
 
 def _session_flag(args) -> Optional[str]:
     """The first of ``--trace``, ``--metrics`` and ``--fault-plan`` given."""
@@ -70,7 +129,7 @@ def _session_flag(args) -> Optional[str]:
 
 
 def _engine_workers_problem(args) -> Optional[str]:
-    """Why ``--engine-workers`` cannot apply to this command, if it can't.
+    """Why ``--engine-workers`` cannot apply to this run, if it can't.
 
     Fork workers run their engines out of the parent's sight: traces,
     metrics and fault injection would silently miss them, so those
@@ -79,31 +138,21 @@ def _engine_workers_problem(args) -> Optional[str]:
     workers = args.engine_workers
     if workers < 0:
         return f"--engine-workers must be >= 0, got {workers}"
-    if workers <= 1:
-        return None
-    if args.experiment not in MULTI_ENGINE + ("all",):
-        return ("--engine-workers > 1 applies only to "
-                + ", ".join(MULTI_ENGINE) + " and all")
     flag = _session_flag(args)
-    if flag is not None:
+    if workers > 1 and flag is not None:
         return (f"--engine-workers > 1 cannot be combined with {flag}:"
                 " fork workers are not observed; run inline")
     return None
 
 
-def _bench_flags_problem(args) -> Optional[str]:
-    """Why ``--bench-json`` or a session flag cannot apply, if it can't.
+def _perf_session_problem(args) -> Optional[str]:
+    """Why ``perf`` cannot run under a session flag, if one is given.
 
-    Only ``perf`` and ``serve-bench`` write a ``--bench-json`` document,
-    so every other command refuses the flag before it runs.  ``perf``
-    times a bare and an instrumented pass of its own: under the
-    CLI's ``--trace``, ``--metrics`` or ``--fault-plan`` session the
+    ``perf`` times a bare and an instrumented pass of its own: under
+    the CLI's ``--trace``, ``--metrics`` or ``--fault-plan`` session the
     bare pass would be observed or faulted too, and the overhead ratio
     it reports would be wrong.
     """
-    if args.bench_json and args.experiment not in ("perf", "serve-bench"):
-        return ("--bench-json requires the 'perf' experiment or "
-                "'serve-bench'")
     flag = _session_flag(args)
     if args.experiment == "perf" and flag is not None:
         return (f"perf cannot be combined with {flag}: it times its own "
@@ -350,8 +399,8 @@ def to_payload(result: object) -> object:
     return {"text": str(result)}
 
 
-def main(argv=None) -> int:
-    """CLI entry point."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``tca-bench`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="tca-bench",
         description="Regenerate the paper's tables and figures from the "
@@ -385,8 +434,10 @@ def main(argv=None) -> int:
                              "benchmark document to PATH (see "
                              "docs/performance.md, docs/serving.md)")
     group = parser.add_argument_group(
-        "suite options", "only meaningful with the 'suite' experiment "
-        "(see docs/experiments.md)")
+        "suite options", "read by the 'suite' experiment (see "
+        "docs/experiments.md); 'serve' also reads --seed, --cache-dir, "
+        "--journal-dir and --no-journal, and 'serve-bench' --seed and "
+        "--cache-dir")
     group.add_argument("--shards", type=int, default=1, metavar="N",
                        help="number of worker processes (default 1)")
     group.add_argument("--smoke", action="store_true",
@@ -466,9 +517,9 @@ def main(argv=None) -> int:
                                   "ephemeral port (default 8023)")
     serve_group.add_argument("--serve-workers", type=int, default=1,
                              metavar="N",
-                             help="cold jobs per fork-worker generation;"
-                                  " 1 runs them inline on the executor "
-                                  "thread (default 1)")
+                             help="fork workers for cold jobs; 1 runs "
+                                  "them inline on the executor thread "
+                                  "(default 1)")
     serve_group.add_argument("--entry", default="fig9",
                              help="serve-bench: registry entry to "
                                   "compute cold (default fig9)")
@@ -493,9 +544,17 @@ def main(argv=None) -> int:
                              default=None, metavar="X",
                              help="serve-bench: exit nonzero unless "
                                   "cold-compute / warm-p50 >= X")
+    return parser
+
+
+def main(argv=None) -> int:
+    """CLI entry point."""
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    problem = _engine_workers_problem(args) or _bench_flags_problem(args)
+    problem = (_perf_session_problem(args)
+               or _unread_options_problem(args, vars(parser.parse_args([])))
+               or _engine_workers_problem(args))
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2

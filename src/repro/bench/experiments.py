@@ -19,12 +19,11 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from repro.baselines.ntb import NTBPair
 from repro.errors import ConfigError, SimulationError
 from repro.baselines.paths import (ConventionalPath, GDRPath, MPIHostPath,
-                                   PathResult, TCADMAPath, TCAPIOPath,
-                                   VerbsPath)
+                                   TCADMAPath, TCAPIOPath, VerbsPath)
 from repro.bench.harness import (DEFAULT_SIZES, PAPER_BURST, SingleNodeRig,
                                  TwoNodeRig)
 from repro.bench.loopback import LoopbackRig
-from repro.bench.series import Series, SweepTable
+from repro.bench.series import SweepTable
 from repro.hw.node import NodeParams
 from repro.model.specs import render_table1, render_table2
 from repro.model.theory import (latency_bandwidth_bound_gbytes,
@@ -645,13 +644,13 @@ def bisection(node_counts: Sequence[int] = (16, 64),
                 ("torus", {"topology": TORUS, "extents": (side, side)})):
             cluster = TCASubCluster(n, node_params=NodeParams(num_gpus=1),
                                     **kwargs)
+            geometry = cluster.geometry
 
             def partner(src: int) -> int:
-                if label == "torus":
-                    coords = list(cluster.geometry.coords_of(src))
-                    coords[0] = (coords[0] + side // 2) % side
-                    return cluster.geometry.index_of(coords)
-                return (src + n // 2) % n
+                coords = list(geometry.coords_of(src))
+                extent = geometry.extents[0]
+                coords[0] = (coords[0] + extent // 2) % extent
+                return geometry.index_of(coords)
 
             worst = _shift_traffic(cluster, partner, nbytes, "bisection")
             table.add(label, n, n * bw_gbytes_per_s(nbytes, worst))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cuda.runtime import CudaContext
 from repro.cuda.pointer import CU_POINTER_ATTRIBUTE_P2P_TOKENS
 from repro.drivers.p2p_driver import P2PDriver
@@ -23,7 +21,6 @@ from repro.peach2.board import PEACH2Board
 from repro.peach2.chip import PEACH2Params
 from repro.peach2.descriptor import DMADescriptor
 from repro.sim.core import Engine
-from repro.tca.address_map import BLOCK_GPU0, BLOCK_HOST
 from repro.tca.comm import TCAComm
 from repro.tca.subcluster import TCASubCluster
 from repro.units import KiB, MiB, bw_gbytes_per_s

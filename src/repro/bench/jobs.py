@@ -369,23 +369,27 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
             task = conn.recv()
             if task is None:
                 break
-            name, mode, seed, attempt, hang_s = task
-            send(("start", wid, name, attempt, os.getpid(), offset()))
+            slot, name, mode, seed, attempt, hang_s = task
+            send(("start", wid, slot, attempt, os.getpid(), offset()))
             if hang_s > 0:
                 time.sleep(hang_s)  # chaos: a hung experiment
             try:
                 payload, wall = runner(name, mode, seed)
             except Exception as exc:
-                send(("error", wid, name, attempt,
+                send(("error", wid, slot, attempt,
                       f"{type(exc).__name__}: {exc}"))
                 continue
-            spill = Path(spill_dir) / f"{name}.{attempt}.json"
-            atomic_write_text(spill, payload)
-            send(("done", wid, name, attempt, wall, offset()))
+            atomic_write_text(_spill_path(spill_dir, slot, attempt), payload)
+            send(("done", wid, slot, attempt, wall, offset()))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # supervisor gone or shutting down: exit quietly
     finally:
         stop.set()
+
+
+def _spill_path(spill_dir, slot: int, attempt: int) -> Path:
+    """Where a worker leaves the payload of job ``slot``'s attempt."""
+    return Path(spill_dir) / f"{slot}.{attempt}.json"
 
 
 @dataclass
@@ -460,6 +464,11 @@ class JobScheduler:
     remainder is re-shared across the survivors automatically — the LPT
     re-shard of what is left.  A fresh worker is spawned only when the
     pool would otherwise be empty.
+
+    Tasks, worker messages and spill files name a job by its position
+    in ``jobs``, so jobs may share an entry name (one entry submitted
+    in two modes); every ``on_event`` info naming a job also carries
+    its ``key``.
     """
 
     def __init__(self, jobs: Sequence[Job],
@@ -480,7 +489,7 @@ class JobScheduler:
         self.heartbeat_s = heartbeat_s
         self.poll_s = poll_s
         self.counters: Dict[str, int] = {n: 0 for n in COUNTER_NAMES}
-        self._by_name = {job.name: job for job in self.jobs}
+        self._slots = {id(job): slot for slot, job in enumerate(self.jobs)}
         self._pool: Dict[int, _WorkerHandle] = {}
         self._next_wid = 0
         self._ctx = multiprocessing.get_context(
@@ -594,8 +603,8 @@ class JobScheduler:
             job = ready[0]
             hang = job.hang_s if job.attempt == 0 else 0.0
             try:
-                handle.conn.send((job.name, job.mode, job.seed,
-                                  job.attempt, hang))
+                handle.conn.send((self._slots[id(job)], job.name, job.mode,
+                                  job.seed, job.attempt, hang))
             except (OSError, BrokenPipeError):
                 continue  # liveness check will reap it
             job.transition(RUNNING)
@@ -625,7 +634,7 @@ class JobScheduler:
             job.transition(FAILED)
             self._journal_job(job, reason=why)
             self._log_instant("job-failed", entry=job.name, reason=why)
-            self._emit("job-failed", name=job.name, reason=why)
+            self._emit("job-failed", name=job.name, key=job.key, reason=why)
             return
         delay = backoff_delay(job.seed, job.name,
                               job.attempt if burn_attempt else job.requeues)
@@ -641,7 +650,8 @@ class JobScheduler:
         """A dead worker may have finished the job before dying: the
         spill file is written atomically *before* the done message, so
         if it exists and holds valid JSON the result is usable."""
-        spill = self._spill_dir / f"{job.name}.{job.attempt}.json"
+        spill = _spill_path(self._spill_dir, self._slots[id(job)],
+                            job.attempt)
         try:
             payload = spill.read_text(encoding="utf-8")
             json.loads(payload)
@@ -663,8 +673,8 @@ class JobScheduler:
                                  start_off_ns * 1000,
                                  int(wall_s * 1e12), entry=job.name,
                                  attempt=job.attempt)
-        self._emit("job-done", name=job.name, worker=job.worker,
-                   attempt=job.attempt)
+        self._emit("job-done", name=job.name, key=job.key,
+                   worker=job.worker, attempt=job.attempt)
 
     # -- supervisor loop -------------------------------------------------
 
@@ -676,9 +686,9 @@ class JobScheduler:
         if kind == "hb":
             self.counters["heartbeats"] += 1
             return
-        name, attempt = msg[2], msg[3]
-        job = self._by_name.get(name)
-        stale = (job is None or handle is None or job.worker != wid
+        slot, attempt = msg[2], msg[3]
+        job = self.jobs[slot]
+        stale = (handle is None or job.worker != wid
                  or job.attempt != attempt or job.state != RUNNING)
         if stale:
             self.counters["stale_messages"] += 1
@@ -691,22 +701,22 @@ class JobScheduler:
             self._journal_job(job, pid=pid)
             self._log_instant("job-start", entry=job.name, worker=wid,
                               attempt=attempt)
-            self._emit("job-start", name=name, worker=wid, pid=pid,
-                       attempt=attempt)
+            self._emit("job-start", name=job.name, key=job.key, worker=wid,
+                       pid=pid, attempt=attempt)
         elif kind == "done":
             wall, done_off_ns = msg[4], msg[5]
             if done_off_ns is not None:
                 handle.last_done_off_ns = done_off_ns
-            spill = self._spill_dir / f"{name}.{attempt}.json"
             try:
-                payload = spill.read_text(encoding="utf-8")
+                payload = _spill_path(self._spill_dir, slot,
+                                      attempt).read_text(encoding="utf-8")
             except OSError:
                 # Spill vanished (should not happen): treat as a crash.
                 self._requeue(job, "spill file missing", burn_attempt=True)
                 handle.job = None
                 return
             self._finish(job, payload, wall, job.start_off_ns)
-            handle.entries.append(name)
+            handle.entries.append(job.name)
             handle.last_done = time.monotonic()
             handle.job = None
         elif kind == "error":
@@ -714,8 +724,8 @@ class JobScheduler:
             job.error = error
             self._requeue(job, f"attempt raised: {error}",
                           burn_attempt=True)
-            self._log_instant("job-error", entry=name, error=error)
-            self._emit("job-error", name=name, error=error)
+            self._log_instant("job-error", entry=job.name, error=error)
+            self._emit("job-error", name=job.name, key=job.key, error=error)
             handle.job = None
 
     def _check_deadlines(self, now: float) -> None:
@@ -729,7 +739,7 @@ class JobScheduler:
             self._log_instant("deadline-kill", entry=job.name,
                               worker=handle.index,
                               deadline_s=job.deadline_s)
-            self._emit("deadline-kill", name=job.name,
+            self._emit("deadline-kill", name=job.name, key=job.key,
                        worker=handle.index, deadline_s=job.deadline_s)
             handle.job = None
             self._kill_worker(handle, f"deadline: {job.name}")
@@ -750,7 +760,7 @@ class JobScheduler:
                     handle.job = None
                     self.counters["heartbeat_kills"] += 1
                     self._emit("heartbeat-kill", worker=handle.index,
-                               name=job.name)
+                               name=job.name, key=job.key)
                     self._log_instant("heartbeat-kill",
                                       worker=handle.index, entry=job.name)
                     self._kill_worker(handle,
@@ -767,7 +777,8 @@ class JobScheduler:
                               exitcode=handle.process.exitcode)
             self._emit("worker-lost", worker=handle.index,
                        exitcode=handle.process.exitcode,
-                       name=job.name if job else None)
+                       name=job.name if job else None,
+                       key=job.key if job else None)
             if job is not None and not self._recover_from_spill(job):
                 self._requeue(job, f"worker {handle.index} died "
                               f"(exit {handle.process.exitcode})",
@@ -876,13 +887,14 @@ def run_job_inline(job: Job,
     Used by the one-shard suite path and the :class:`JobService` when no
     worker pool is wanted.  Deadlines cannot be enforced without a
     supervisor process, so only the exception-retry half of the state
-    machine applies here.
+    machine applies here.  Each ``on_event`` info carries the job's
+    ``key``, as the scheduler's do.
     """
     def emit(t: str, **info: Any) -> None:
         if journal is not None:
             journal.record(t, **info)
         if on_event is not None:
-            on_event(t, info)
+            on_event(t, {**info, "key": job.key})
 
     while not job.finished:
         job.transition(RUNNING)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.drivers.peach2_driver import PEACH2Driver
 from repro.hw.node import ComputeNode, NodeParams
 from repro.peach2.board import PEACH2Board

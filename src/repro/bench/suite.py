@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.bench.cache import (ResultCache, cache_key, canonical_json,
                                sources_fingerprint)
-from repro.bench.experiments import EXPERIMENT_IDS, REGISTRY, ExperimentSpec
+from repro.bench.experiments import EXPERIMENT_IDS, REGISTRY
 from repro.bench.jobs import (DEFAULT_MAX_ATTEMPTS, DONE, FAILED, Job,
                               JobScheduler, Journal, default_deadline_s,
                               new_run_id, run_job_inline)

@@ -11,9 +11,9 @@ that claim made executable:
   across channels (and, on a :data:`~repro.tca.subcluster.DUAL_RING`
   sub-cluster, across both rings);
 * :class:`TCACollectives` — ring **allgather**, **allreduce**,
-  **broadcast** and **barrier**; allreduce has a hierarchical variant
-  that exploits the S-coupled dual-ring topology (§III-D) and a
-  per-dimension one for tori;
+  **broadcast** and **barrier**; allreduce's schedule follows the
+  topology: hierarchical on the S-coupled dual ring (§III-D), per
+  dimension on rings and tori;
 * module-level one-shot helpers (:func:`ring_allreduce`,
   :func:`ring_broadcast`, :func:`ring_barrier`, :func:`ring_allgather`)
   that build a context, run one self-checking collective, and return the

@@ -6,10 +6,13 @@ message matching, no software protocol stack.  Payloads travel as PIO
 puts (short messages, §III-F1) or chained-DMA puts submitted through the
 :class:`~repro.collectives.channels.ChannelScheduler` (bulk, §III-F2);
 completion is a 4-byte flag store that PCIe path ordering keeps behind
-the payload (§III-H).  On a :data:`~repro.tca.subcluster.DUAL_RING`
-sub-cluster, allreduce goes hierarchical: each ring reduce-scatters in
-parallel and the S cables carry one cross-ring exchange, cutting an
-8-node allreduce from 2(N-1)=14 to N-1=7 serialized hops.
+the payload (§III-H).  The allreduce schedule follows the topology, with
+no knob to override it: on a :data:`~repro.tca.subcluster.DUAL_RING`
+sub-cluster it is hierarchical (each ring reduce-scatters in parallel
+and the S cables carry one cross-ring exchange, cutting an 8-node
+allreduce from 2(N-1)=14 to N-1=7 serialized hops); every other
+sub-cluster runs it per dimension of ``cluster.geometry``, and a ring is
+the 1D torus.
 
 Reductions are uint32 modular sums, so results are byte-identical
 regardless of arrival order.  Every public collective self-checks its
@@ -19,7 +22,7 @@ result against a NumPy reference and raises
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from repro.errors import ConfigError
 from repro.peach2.registers import PortCode
 from repro.tca.comm import TCAComm
 from repro.tca.notify import FlagPool
-from repro.tca.subcluster import DUAL_RING, RING, TORUS, TCASubCluster
+from repro.tca.subcluster import DUAL_RING, TCASubCluster
 from repro.tca.topology import ring_neighbor
 
 #: Staging regions are page-aligned, like the real driver's allocations.
@@ -192,18 +195,6 @@ class TCACollectives:
         self.engine.run_all([self.engine.process(gen, name=f"{name}{node}")
                              for node, gen in sorted(workers.items())], name)
 
-    def _flat_ring(self) -> List[int]:
-        """Node ids in logical ring order for whole-cluster collectives.
-
-        On a single ring this is the cable order; on a dual ring the
-        same id order still works (route tables deliver any put, puts to
-        the other ring just cross an S cable) — it is what broadcast and
-        the flat allreduce use there.
-        """
-        if self.cluster.topology == RING:
-            return self.cluster.rings()[0]
-        return list(range(self.cluster.num_nodes))
-
     def overlap_stats(self) -> Dict[int, Dict[str, object]]:
         """Per-node scheduler statistics (proof DMA overlap happened)."""
         return {
@@ -282,49 +273,33 @@ class TCACollectives:
                 f"{num_chunks} equal chunks")
         return vectors, words
 
-    def allreduce(self, vectors: Sequence[np.ndarray],
-                  hierarchical: Optional[bool] = None,
-                  torus: Optional[bool] = None) -> List[np.ndarray]:
-        """Ring allreduce (uint32 modular sum); every node gets the sum.
+    def allreduce(self, vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Allreduce (uint32 modular sum); every node gets the sum.
 
-        Flat form: reduce-scatter then allgather over one logical ring —
-        2(N-1) serialized put steps.  On a DUAL_RING cluster (the
-        default there; force with ``hierarchical``) each ring
-        reduce-scatters in parallel, same-column partners exchange their
-        owned chunk over the S cables, then each ring allgathers:
-        2(N/2-1)+1 = N-1 steps, about half the flat latency.
+        The schedule follows the topology.  On a DUAL_RING cluster it is
+        hierarchical: each ring reduce-scatters in parallel, same-column
+        partners exchange their owned chunk over the S cables, then each
+        ring allgathers — 2(N/2-1)+1 = N-1 steps, about half a flat
+        ring's latency.
 
-        On a TORUS cluster (the default there; force with ``torus``) the
-        collective goes per-dimension: reduce-scatter along each
-        dimension's ring in turn (regions shrinking by that dimension's
-        extent), then allgather back in reverse order — 2*sum(n_d - 1)
-        serialized steps instead of 2(N-1), e.g. 28 versus 126 on an
-        8x8 torus.
+        Every other cluster goes per dimension of ``cluster.geometry``:
+        reduce-scatter along each dimension's ring in turn (regions
+        shrinking by that dimension's extent), then allgather back in
+        reverse order — 2*sum(n_d - 1) serialized steps.  A ring is the
+        1D torus, so that is its 2(N-1); an 8x8 torus needs 28 instead
+        of a 64-ring's 126.
         """
-        if torus is None:
-            torus = self.cluster.topology == TORUS
-        elif torus and self.cluster.topology != TORUS:
-            raise ConfigError("torus allreduce needs a TORUS sub-cluster")
-        if hierarchical is None:
-            hierarchical = (not torus
-                            and self.cluster.topology == DUAL_RING)
-        if hierarchical and self.cluster.topology != DUAL_RING:
-            raise ConfigError("hierarchical allreduce needs a DUAL_RING "
-                              "sub-cluster")
-        if hierarchical and torus:
-            raise ConfigError("hierarchical and torus allreduce are "
-                              "mutually exclusive")
+        hierarchical = self.cluster.topology == DUAL_RING
         n = self.cluster.num_nodes
         num_chunks = (n // 2) if hierarchical else n
         vectors, words = self._check_vectors(vectors, num_chunks)
         nbytes = words * 4
         chunk = nbytes // num_chunks
         staging = _align(nbytes)
-        if torus:
-            slots_bytes = self._torus_staging_bytes(nbytes)
+        if hierarchical:
+            slots_bytes = num_chunks * chunk  # RS steps + the S exchange
         else:
-            slots = num_chunks - 1 + (1 if hierarchical else 0)
-            slots_bytes = max(slots, 1) * chunk
+            slots_bytes = self._torus_staging_bytes(nbytes)
         if staging + slots_bytes > self.data_bytes:
             raise ConfigError("vectors too large for the DMA buffers")
 
@@ -334,11 +309,8 @@ class TCACollectives:
 
         if hierarchical:
             workers = self._allreduce_dual_workers(nbytes, chunk, staging)
-        elif torus:
-            workers = self._allreduce_torus_workers(nbytes)
         else:
-            workers = {rank: self._allreduce_flat_worker(rank, chunk)
-                       for rank in range(n)}
+            workers = self._allreduce_torus_workers(nbytes)
         self._run(workers, "allreduce")
 
         total = vectors[0].copy()
@@ -352,32 +324,6 @@ class TCACollectives:
                 raise ConfigError(f"allreduce mismatch on rank {rank}")
             results.append(got)
         return results
-
-    def _allreduce_flat_worker(self, rank: int, chunk: int):
-        """One rank of the flat RS+AG allreduce.
-
-        The allgather phase writes straight into final chunk slots; that
-        is race-free because rank r's AG-step-s put trails the
-        receiver's last read of that slot by n-1 flag-chained put steps
-        (and the self-check above would catch any violation).
-        """
-        n = self.cluster.num_nodes
-        east = (rank + 1) % n
-        staging = _align(n * chunk)
-        for step in range(n - 1):
-            send = (rank - step) % n
-            yield from self._put_flagged(
-                rank, send * chunk, east, staging + step * chunk,
-                chunk, self._flag_rs + step)
-            yield from self._wait(rank, self._flag_rs + step)
-            self._reduce_into(rank, ((rank - step - 1) % n) * chunk,
-                              staging + step * chunk, chunk)
-        for step in range(n - 1):
-            send = (rank + 1 - step) % n
-            yield from self._put_flagged(
-                rank, send * chunk, east, send * chunk,
-                chunk, self._flag_ag + step)
-            yield from self._wait(rank, self._flag_ag + step)
 
     def _allreduce_dual_workers(self, nbytes: int, chunk: int,
                                 staging: int) -> Dict[int, object]:
@@ -442,16 +388,20 @@ class TCACollectives:
         return (last_stage + (extent - 1) * last_chunk) - _align(nbytes)
 
     def _allreduce_torus_workers(self, nbytes: int) -> Dict[int, object]:
-        """Workers for the per-dimension torus allreduce.
+        """Workers for the per-dimension allreduce of a ring or torus.
 
         Reduce-scatter sweeps dimensions 0..D-1: each phase runs the
-        flat RS schedule on the node's dimension-d ring over its current
+        ring RS schedule on the node's dimension-d ring over its current
         region, then keeps chunk (p_d + 1) mod n_d as the next region.
-        Allgather sweeps back D-1..0 rebuilding each region in place.
-        Every phase stages into its own slot range (disjoint across
-        phases), so a fast ring can run ahead without overwriting data a
-        slower neighbour has not consumed; each phase also gets its own
-        flag-bank offset, so step flags never collide across phases.
+        Allgather sweeps back D-1..0 rebuilding each region in place:
+        its puts land straight in their final slots, which is race-free
+        because each trails the receiver's last read of that slot by
+        n_d - 1 flag-chained put steps (the self-check would catch a
+        violation).  Every phase stages into its own slot range
+        (disjoint across phases), so a fast ring can run ahead without
+        overwriting data a slower neighbour has not consumed; each phase
+        also gets its own flag-bank offset, so step flags never collide
+        across phases.
         """
         geometry = self.cluster.geometry
         extents = geometry.extents
@@ -502,8 +452,9 @@ class TCACollectives:
         The root launches East and West puts *concurrently* (two DMA
         channels via the scheduler); each segment store-and-forwards, so
         delivery takes ceil((N-1)/2) hops instead of N-1.  Any topology
-        uses one flat logical ring (:meth:`_flat_ring`); on a DUAL_RING
-        cluster the puts to the other ring cross an S cable.
+        uses one logical ring in node-id order (route tables deliver any
+        put): a ring's cable order, and on a DUAL_RING cluster the puts
+        to the other ring cross an S cable.
         """
         n = self.cluster.num_nodes
         if not 0 <= root < n:
@@ -516,7 +467,7 @@ class TCACollectives:
             raise ConfigError("payload too large for the DMA buffers")
         self.cluster.driver(root).fill_dma_buffer(0, data)
 
-        ring = self._flat_ring()
+        ring = list(range(n))
         self._run({node: self._bcast_ring_worker(ring, node, root, nbytes)
                    for node in range(n)}, "broadcast")
 
@@ -603,17 +554,13 @@ def ring_allgather(cluster: TCASubCluster, block_bytes: int = 1024,
 
 
 def ring_allreduce(cluster: TCASubCluster, nbytes: int = 4096,
-                   seed: int = 7,
-                   hierarchical: Optional[bool] = None,
-                   torus: Optional[bool] = None) -> List[np.ndarray]:
+                   seed: int = 7) -> List[np.ndarray]:
     """Seeded one-shot allreduce; returns each node's reduced vector."""
     rng = np.random.default_rng(seed)
     words = nbytes // 4
     vectors = [rng.integers(0, 1 << 32, words, dtype=np.uint32)
                for _ in range(cluster.num_nodes)]
-    return TCACollectives(cluster).allreduce(vectors,
-                                             hierarchical=hierarchical,
-                                             torus=torus)
+    return TCACollectives(cluster).allreduce(vectors)
 
 
 def ring_broadcast(cluster: TCASubCluster, nbytes: int = 4096,

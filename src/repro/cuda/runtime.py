@@ -9,7 +9,7 @@ GPU copy engine moves the data over PCIe at TLP granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -36,7 +36,6 @@ Run it directly (CI does, see ``suite-chaos``)::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import subprocess

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fnmatch import fnmatch
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import FaultError
 from repro.faults.plan import (DescriptorFetchError, FaultPlan, LinkFlap,
@@ -96,7 +96,7 @@ class FaultInjector:
         Needed when the cluster was constructed before :meth:`arm`;
         links built after arming self-register.
         """
-        for _, _, link in cluster._ring_cables:
+        for _, _, _, link in cluster._fabric_cables:
             self.register_link(link)
 
     def _schedule_flap(self, link, flap: LinkFlap) -> None:

@@ -34,7 +34,7 @@ first-class link errors):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.errors import FaultError

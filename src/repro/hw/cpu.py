@@ -8,7 +8,7 @@ of §III-F), and field MSI interrupts from the PEACH2 DMA controller.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 

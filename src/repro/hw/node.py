@@ -13,11 +13,11 @@ an IB fabric is just a set of nodes whose adapters are cabled together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.errors import ConfigError
-from repro.hw.bios import BARRequest, BIOS, MOTHERBOARDS, Motherboard
+from repro.hw.bios import BIOS, MOTHERBOARDS, Motherboard
 from repro.hw.cpu import CPU, MSI_REGION
 from repro.hw.gpu import GPU, GPUParams
 from repro.hw.memory import HostMemory, MemoryParams

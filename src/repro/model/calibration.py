@@ -20,9 +20,9 @@ paper anchor that pins it.  The anchors (all from Hanawa et al. 2013):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.units import ns, us
+from repro.units import ns
 
 
 @dataclass(frozen=True)

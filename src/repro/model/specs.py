@@ -9,7 +9,7 @@ them so the "spec sheet" and the simulated machine cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 

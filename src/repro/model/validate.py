@@ -10,7 +10,7 @@ fabric timing — ``tca-bench validate`` from the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List
 
 from repro.units import KiB
 

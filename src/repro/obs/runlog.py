@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.obs import exporters
 from repro.obs.metrics import MetricsRegistry

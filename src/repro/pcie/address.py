@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.errors import AddressError, ConfigError
 

@@ -12,8 +12,8 @@ BIOS scan at boot time, the host must recognize the EPs").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 

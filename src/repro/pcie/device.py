@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import CompletionTimeoutError, PCIeError, SimulationError
+from repro.errors import CompletionTimeoutError, PCIeError
 from repro.pcie.tlp import TLP, TLPKind
 from repro.sim.core import Engine, Signal
 

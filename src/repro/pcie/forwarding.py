@@ -13,8 +13,6 @@ the way back to the traffic source, exactly like PCIe flow control.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import LinkError
 from repro.pcie.port import Port
 from repro.pcie.tlp import TLP

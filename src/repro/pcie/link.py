@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.errors import LinkError
 from repro.pcie.gen import PCIeGen, link_bytes_per_ps
-from repro.pcie.port import Port, PortRole
+from repro.pcie.port import Port
 from repro.pcie.tlp import TLP
 from repro.sim.core import Engine, Signal
 from repro.sim.queues import Resource, Store

@@ -10,7 +10,7 @@ enumeration callback).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigError
 from repro.hw.node import ComputeNode
@@ -19,7 +19,6 @@ from repro.pcie.config_space import (CAP_MSI, CAP_PCIE, Capability,
 from repro.pcie.address import Region
 from repro.pcie.gen import PCIeGen
 from repro.pcie.link import LinkParams, PCIeLink
-from repro.pcie.port import PortRole
 from repro.peach2.chip import PEACH2Chip, PEACH2Params
 from repro.peach2.registers import BAR0_SIZE
 from repro.sim.core import Engine

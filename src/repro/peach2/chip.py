@@ -20,7 +20,7 @@ completions are not implemented for remote traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -37,8 +37,7 @@ from repro.peach2.dma import DMAController
 from repro.peach2.firmware import NIOSFirmware
 from repro.peach2.registers import (BAR0_SIZE, NUM_DMA_CHANNELS,
                                     NUM_ROUTE_ENTRIES, ROUTE_ENTRY_BYTES,
-                                    ROUTE_TABLE_BASE, PortCode, RegisterFile,
-                                    RouteEntry)
+                                    ROUTE_TABLE_BASE, PortCode, RegisterFile)
 from repro.sim.core import Engine
 from repro.units import MiB
 

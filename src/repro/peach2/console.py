@@ -13,7 +13,6 @@ from typing import Callable, Dict, List
 
 from repro.peach2.dma import (STATUS_ABORTED, STATUS_DONE, STATUS_IDLE,
                               STATUS_RUNNING)
-from repro.peach2.registers import NUM_ROUTE_ENTRIES, PortCode
 
 _STATUS_NAMES = {STATUS_IDLE: "idle", STATUS_RUNNING: "running",
                  STATUS_DONE: "done", STATUS_ABORTED: "aborted"}

@@ -16,7 +16,7 @@ the PEARL detect→reroute loop without operator involvement (§III-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 

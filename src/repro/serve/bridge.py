@@ -225,7 +225,7 @@ class ServeBridge:
             batch = [item]
             if self.service.workers > 1:
                 # Opportunistic batching: everything already queued
-                # runs as one fork-worker generation.
+                # runs on one fork-worker pool.
                 while True:
                     try:
                         batch.append(self._queue.get_nowait())
@@ -242,29 +242,15 @@ class ServeBridge:
         self._g_busy.set(min(len(jobs), self.service.workers))
         try:
             if self.service.workers > 1 and len(jobs) > 1:
-                # The scheduler keys jobs by entry name; same-name jobs
-                # (different mode/seed) must not share a generation.
-                rest = list(jobs)
-                while rest:
-                    gen: List[Job] = []
-                    names: set = set()
-                    for job in list(rest):
-                        if job.name not in names:
-                            names.add(job.name)
-                            gen.append(job)
-                            rest.remove(job)
-                    JobScheduler(gen, _registry_runner,
-                                 workers=self.service.workers,
-                                 journal=self.service.journal,
-                                 on_event=self._make_on_event(
-                                     {j.name: j.key for j in gen})
-                                 ).run()
+                JobScheduler(jobs, _registry_runner,
+                             workers=self.service.workers,
+                             journal=self.service.journal,
+                             on_event=self._on_event).run()
             else:
                 for job in jobs:
                     run_job_inline(job, _registry_runner,
                                    journal=self.service.journal,
-                                   on_event=self._make_on_event(
-                                       {job.name: job.key}))
+                                   on_event=self._on_event)
         finally:
             self._g_busy.set(0)
             for job in jobs:
@@ -292,17 +278,16 @@ class ServeBridge:
         else:
             self._c_failed.inc()
 
-    def _make_on_event(self, key_by_name: Dict[str, str]):
-        def on_event(t: str, info: Dict[str, Any]) -> None:
-            key = key_by_name.get(info.get("name"))
-            if key is None:
-                return
-            info = {k: v for k, v in info.items() if k != "payload_json"}
-            self._record_event(key, t, **info)
-            if info.get("state") in (DONE, FAILED):
-                self._account(self.service.get_job(key))
-            self._notify(key)
-        return on_event
+    def _on_event(self, t: str, info: Dict[str, Any]) -> None:
+        key = info.get("key")
+        if key is None:
+            return
+        info = {k: v for k, v in info.items()
+                if k not in ("key", "payload_json")}
+        self._record_event(key, t, **info)
+        if info.get("state") in (DONE, FAILED):
+            self._account(self.service.get_job(key))
+        self._notify(key)
 
     # -- cross-thread plumbing -------------------------------------------
 

@@ -7,8 +7,7 @@ plus the CUDA-like communication interface of §III-H.
 
 from repro.tca.address_map import TCAAddressMap, BLOCK_GPU0, BLOCK_GPU1, \
     BLOCK_HOST, BLOCK_INTERNAL
-from repro.tca.topology import ring_route_entries, dual_ring_route_entries, \
-    ring_hop_count
+from repro.tca.topology import dual_ring_route_entries, ring_hop_count
 from repro.tca.subcluster import TCASubCluster
 from repro.tca.comm import TCAComm
 from repro.tca.hybrid import HybridCluster, HybridComm
@@ -19,7 +18,6 @@ __all__ = [
     "BLOCK_GPU1",
     "BLOCK_HOST",
     "BLOCK_INTERNAL",
-    "ring_route_entries",
     "dual_ring_route_entries",
     "ring_hop_count",
     "TCASubCluster",

@@ -24,7 +24,7 @@ see ``docs/collectives.md``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

@@ -13,10 +13,10 @@ machinery: a broken cable becomes a :class:`FabricCut`, and every ring
 that contains it routes around the gap exactly the way PEARL's
 ring-to-chain comparator reprogramming does (§III-A).
 
-The 1D special cases reproduce :mod:`repro.tca.topology`'s
-``ring_route_entries`` / ``chain_route_entries`` /
-``dual_ring_route_entries`` byte-for-byte, so those functions now
-delegate here.
+A ring sub-cluster is the 1D torus ``(n,)`` and a healed ring's chain
+is that torus with one cut, so both are built here directly; each ring
+of :func:`repro.tca.topology.dual_ring_route_entries` is a 1D table
+too.
 
 Port assignment per dimension (``DIM_PORTS``): dimension 0 uses E/W like
 the paper's ring, dimension 1 uses S/T, dimension 2 uses U/D.  Entry
@@ -179,7 +179,8 @@ def coordinate_map(geometry: TorusGeometry,
     """Assign torus coordinates to a node set, in the order given.
 
     ``nodes[i]`` sits at ``geometry.coords_of(i)`` — for 1D this is
-    exactly the ring-order convention of :func:`ring_route_entries`.
+    the ring's cable order: ``nodes[p]``'s East cable reaches
+    ``nodes[p + 1]``.
     """
     if len(nodes) != geometry.num_nodes:
         raise ConfigError(
@@ -276,8 +277,8 @@ def fabric_route_entries(address_map: TCAAddressMap, node_id: int,
                if d != cut.dim):
             if cut.dim in my_cuts and my_cuts[cut.dim] != there[cut.dim]:
                 raise ConfigError(
-                    f"two cuts on one dimension-{cut.dim} ring would "
-                    f"partition the fabric")
+                    f"two cuts on one dimension-{cut.dim} ring: the "
+                    f"fabric is partitioned")
             my_cuts[cut.dim] = there[cut.dim]
 
     entries = entries_for(address_map, [node_id], PortCode.N)

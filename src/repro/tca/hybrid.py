@@ -15,9 +15,7 @@ rides MPI over InfiniBand.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from repro.baselines.fabric import SwitchedFabric, SwitchedHca
 from repro.baselines.ib import IBParams, QDR_PARAMS
@@ -26,8 +24,9 @@ from repro.errors import ConfigError
 from repro.hw.node import ComputeNode, NodeParams
 from repro.peach2.board import PEACH2Board
 from repro.peach2.chip import PEACH2Params
-from repro.sim.core import Engine, Signal
+from repro.sim.core import Engine
 from repro.tca.comm import TCAComm
+from repro.tca.fabric import TorusGeometry
 from repro.tca.subcluster import TCASubCluster
 
 
@@ -94,6 +93,7 @@ class _SubClusterWithHcas:
         cluster = TCASubCluster.__new__(TCASubCluster)
         cluster.engine = engine
         cluster.topology = "ring"
+        cluster.geometry = TorusGeometry((n,))
         cluster.nodes = []
         cluster.boards = []
         cluster.cuda = []
@@ -121,8 +121,8 @@ class _SubClusterWithHcas:
         if len(bases) != 1:
             raise _CE("sub-cluster nodes enumerated differently")
         cluster.address_map = TCAAddressMap(bases.pop())
-        cluster._cable("ring")
-        cluster._program_registers("ring")
+        cluster._cable()
+        cluster._program_registers()
         cluster.drivers = [PEACH2Driver(node, board)
                            for node, board in zip(cluster.nodes,
                                                   cluster.boards)]

@@ -16,7 +16,7 @@ Builds an 8-16-node (or smaller, for tests) TCA sub-cluster:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cuda.runtime import CudaContext, CudaParams
 from repro.drivers.p2p_driver import P2PDriver
@@ -27,12 +27,12 @@ from repro.peach2.board import PEACH2Board
 from repro.peach2.chip import PEACH2Params
 from repro.peach2.registers import (BLOCK_GPU0, BLOCK_GPU1, BLOCK_HOST,
                                     BLOCK_INTERNAL, MAX_ROUTE_ENTRIES,
-                                    PortCode)
+                                    RouteEntry)
 from repro.pcie.port import PortRole
 from repro.sim.core import Engine
 from repro.tca.address_map import TCAAddressMap
-from repro.tca.fabric import (FabricCut, TorusGeometry, fabric_route_entries)
-from repro.tca.topology import dual_ring_route_entries, ring_route_entries
+from repro.tca.fabric import FabricCut, TorusGeometry, fabric_route_entries
+from repro.tca.topology import dual_ring_route_entries
 
 RING = "ring"
 DUAL_RING = "dual-ring"
@@ -66,6 +66,9 @@ class TCASubCluster:
             raise ConfigError(f"unknown topology {topology!r}")
         if topology == DUAL_RING and num_nodes % 2:
             raise ConfigError("a dual ring needs an even node count")
+        #: The fabric's torus shape: a ring is the 1D torus ``(n,)``.  A
+        #: dual ring has none (its S-coupled columns are no torus
+        #: dimension).
         self.geometry: Optional[TorusGeometry] = None
         if topology == TORUS:
             if extents is None:
@@ -98,11 +101,13 @@ class TCASubCluster:
             raise ConfigError(
                 "the paper's coupled rings top out at 16 nodes (§II-B); "
                 "larger fabrics need the torus topology")
-        if topology == RING and num_nodes > MAX_TORUS_NODES:
-            raise ConfigError(
-                f"ring sub-clusters top out at {MAX_TORUS_NODES} nodes "
-                "(8-GiB node regions in the 512-GB window); the paper "
-                "sizes them at 8-16 (§II-B)")
+        if topology == RING:
+            if num_nodes > MAX_TORUS_NODES:
+                raise ConfigError(
+                    f"ring sub-clusters top out at {MAX_TORUS_NODES} nodes "
+                    "(8-GiB node regions in the 512-GB window); the paper "
+                    "sizes them at 8-16 (§II-B)")
+            self.geometry = TorusGeometry((num_nodes,))
 
         self.engine = engine or Engine()
         self.topology = topology
@@ -134,8 +139,8 @@ class TCASubCluster:
                                          node_stride=stride,
                                          block_size=stride // 4)
 
-        self._cable(topology)
-        self._program_registers(topology)
+        self._cable()
+        self._program_registers()
         self.drivers = [PEACH2Driver(node, board)
                         for node, board in zip(self.nodes, self.boards)]
         # Baseline NIOS link scan, so later failures log as transitions.
@@ -146,25 +151,15 @@ class TCASubCluster:
         self.last_heal_chain: Optional[List[int]] = None
         self.last_time_to_heal_ps: Optional[int] = None
         self._healed_links: set = set()
-        # A fault injector armed before construction sees our ring links.
+        # A fault injector armed before construction sees our fabric links.
         if self.engine.faults is not None:
             self.engine.faults.attach_cluster(self)
 
     # -- construction helpers ---------------------------------------------------
 
-    def _cable(self, topology: str) -> None:
-        n = len(self.boards)
-        self._ring_cables = []  # (east_node, west_node, link)
+    def _cable(self) -> None:
         self._fabric_cables = []  # (dim, plus_node, minus_node, link)
-        if topology == RING:
-            self._rings = [list(range(n))]
-            for i in range(n):
-                j = (i + 1) % n
-                link = self.boards[i].cable_east_to(self.boards[j])
-                self._ring_cables.append((i, j, link))
-                self._fabric_cables.append((0, i, j, link))
-            return
-        if topology == TORUS:
+        if self.geometry is not None:
             # Dimension-0 rings are the fabric's E/W rings; higher
             # dimensions cable S->T and U->D the same plus->minus way.
             self._rings = [list(ring) for ring in self.geometry.rings(0)]
@@ -175,9 +170,9 @@ class TCASubCluster:
                         i, j = ring[pos], ring[(pos + 1) % size]
                         link = self.boards[i].cable_dim_to(
                             dim, self.boards[j])
-                        self._ring_cables.append((i, j, link))
                         self._fabric_cables.append((dim, i, j, link))
             return
+        n = len(self.boards)
         half = n // 2
         self._rings = [list(range(half)), list(range(half, n))]
         for ring in self._rings:
@@ -191,7 +186,7 @@ class TCASubCluster:
             self.boards[b].chip.reconfigure_port_s(PortRole.RC)
             self.boards[a].cable_south_to(self.boards[b])
 
-    def _program_registers(self, topology: str) -> None:
+    def _program_registers(self) -> None:
         for node_id, (node, board) in enumerate(zip(self.nodes, self.boards)):
             regs = board.chip.regs
             regs.set_identity(node_id, self.address_map.base,
@@ -204,28 +199,34 @@ class TCASubCluster:
                 regs.set_block_base(BLOCK_GPU1, node.gpus[1].bar1.base)
             regs.set_block_base(BLOCK_HOST, 0)  # DRAM starts at bus 0
             regs.set_block_base(BLOCK_INTERNAL, board.chip.bar2.base)
+        self._write_routes(self._route_tables())
 
-            if topology == RING:
-                entries = ring_route_entries(self.address_map, node_id,
-                                             self._rings[0])
-            elif topology == TORUS:
-                entries = fabric_route_entries(
-                    self.address_map, node_id, self.geometry,
-                    list(range(self.num_nodes)))
-            else:
-                entries = dual_ring_route_entries(self.address_map, node_id,
-                                                  self._rings[0],
-                                                  self._rings[1])
-            self._write_routes(regs, node_id, entries)
+    def _route_tables(self, cuts: Sequence[FabricCut] = ()
+                      ) -> List[List[RouteEntry]]:
+        """Every node's comparator table, around ``cuts`` if any."""
+        nodes = list(range(self.num_nodes))
+        if self.geometry is None:
+            ring_a, ring_b = self._rings
+            return [dual_ring_route_entries(self.address_map, node_id,
+                                            ring_a, ring_b)
+                    for node_id in nodes]
+        return [fabric_route_entries(self.address_map, node_id,
+                                     self.geometry, nodes, cuts=cuts)
+                for node_id in nodes]
 
-    def _write_routes(self, regs, node_id: int, entries) -> None:
-        if len(entries) > regs.num_route_entries:
-            raise ConfigError(
-                f"node {node_id} needs {len(entries)} comparators but "
-                f"the chip has {regs.num_route_entries}")
-        for index in range(regs.num_route_entries):
-            regs.set_route(index,
-                           entries[index] if index < len(entries) else None)
+    def _write_routes(self, tables: Sequence[List[RouteEntry]]) -> None:
+        """Program every node's table, or none if one does not fit."""
+        for node_id, entries in enumerate(tables):
+            regs = self.boards[node_id].chip.regs
+            if len(entries) > regs.num_route_entries:
+                raise ConfigError(
+                    f"node {node_id} needs {len(entries)} comparators but "
+                    f"the chip has {regs.num_route_entries}")
+        for node_id, entries in enumerate(tables):
+            regs = self.boards[node_id].chip.regs
+            for index in range(regs.num_route_entries):
+                regs.set_route(index, entries[index]
+                               if index < len(entries) else None)
 
     # -- accessors -----------------------------------------------------------------
 
@@ -257,138 +258,86 @@ class TCASubCluster:
         """(dim, plus_node, minus_node) of every fabric cable."""
         return [(dim, a, b) for dim, a, b, _ in self._fabric_cables]
 
-    # -- PEARL reliability: survive a ring-cable failure ----------------------
+    # -- PEARL reliability: survive a cable failure per ring ---------------
 
     def cut_ring_cable(self, east_node: int, force: bool = False) -> None:
-        """Unplug the cable from ``east_node``'s E port (fault injection).
+        """Unplug the cable from ``east_node``'s E port (fault injection):
+        :meth:`cut_fabric_cable` on dimension 0."""
+        self.cut_fabric_cable(0, east_node, force)
 
-        A second cut while another ring cable is still down is rejected
-        with :class:`ConfigError` — PEARL heals exactly one failure, so
-        a second concurrent one silently partitions the sub-cluster.
-        Pass ``force=True`` to model that partition deliberately.
+    def cut_fabric_cable(self, dim: int, plus_node: int,
+                         force: bool = False) -> None:
+        """Unplug the plus-direction cable of one fabric dimension.
+
+        PEARL heals one failure per ring (§III-A): a second cut while
+        another cable of the *same ring* is still down would partition
+        that ring, so it is rejected with :class:`ConfigError` unless
+        ``force=True`` models the partition deliberately.  Cuts on
+        different rings can each be healed independently.
         """
-        for a, b, link in self._ring_cables:
-            if a == east_node:
-                if not link.up:
+        for cable_dim, a, _, link in self._fabric_cables:
+            if cable_dim == dim and a == plus_node:
+                break
+        else:
+            raise ConfigError(f"no dimension-{dim} cable leaves node "
+                              f"{plus_node}'s plus port")
+        if not link.up:
+            raise ConfigError(
+                f"the dimension-{dim} cable off node {plus_node} is "
+                "already down")
+        if not force:
+            ring = next(r for r in self.geometry.rings(dim)
+                        if plus_node in r)
+            for cable_dim, a, _, other in self._fabric_cables:
+                if cable_dim == dim and a in ring and not other.up:
                     raise ConfigError(
-                        f"the ring cable off node {east_node}'s E port is "
-                        "already down")
-                if not force:
-                    down = [(x, y) for x, y, other in self._ring_cables
-                            if not other.up]
-                    if down:
-                        raise ConfigError(
-                            f"ring cable node{down[0][0]}.E->node{down[0][1]}"
-                            ".W is already down; cutting another would "
-                            "partition the sub-cluster (PEARL survives one "
-                            "cable failure, §III-A) — pass force=True to "
-                            "model the partition deliberately")
-                link.take_down()
-                return
-        raise ConfigError(f"no ring cable leaves node {east_node}'s E port")
+                        f"cable {other.name} is already down; cutting "
+                        f"another on its dimension-{dim} ring would "
+                        "partition it (PEARL survives one cable failure "
+                        "per ring, §III-A) — pass force=True to model the "
+                        "partition deliberately")
+        link.take_down()
 
-    def heal(self) -> List[int]:
-        """Reroute around a single failed ring cable (§III-A's PEARL
-        reliability): the ring degrades to a chain, every node's
-        comparators are reprogrammed for the surviving direction.
+    def heal(self) -> Union[List[int], List[FabricCut]]:
+        """Reroute around every down fabric cable (§III-A's PEARL
+        reliability, per ring): each ring holding a broken cable
+        degrades to a chain in its dimension, and every node's
+        comparators are reprogrammed for the surviving directions.
 
-        Uses the NIOS firmware's link scan to find the failure.  Returns
-        the surviving chain order.  Raises if more than one cable is down
-        (the ring is partitioned) or if the topology is not a single ring.
+        Uses the NIOS firmware's link scan to find the failures.  Every
+        table is computed before any is written, so a heal that finds a
+        partitioned ring (two cuts on it) raises and leaves every route
+        register as it was.  On a ring this returns the surviving chain
+        order (West end first, also kept as ``last_heal_chain``); on a
+        torus it returns the applied cuts, one :class:`FabricCut` per
+        down cable.
         """
-        from repro.tca.topology import chain_route_entries
-
-        if self.topology == TORUS:
-            return self._heal_torus()
-        if self.topology != RING:
+        if self.geometry is None:
             raise ConfigError(
                 "healing is implemented for single rings and torus fabrics")
         for board in self.boards:
             board.chip.firmware.scan_links()
-        down = [(a, b) for a, b, link in self._ring_cables if not link.up]
+        down = [(dim, a, link)
+                for dim, a, _, link in self._fabric_cables if not link.up]
         if not down:
             raise ConfigError("no failed cable found")
-        if len(down) > 1:
-            raise ConfigError(
-                f"{len(down)} cables down: the sub-cluster is partitioned")
-        east_node, west_node = down[0]
-        dead_link = next(link for a, b, link in self._ring_cables
-                         if not link.up)
-        # Surviving chain runs W->E starting at the node whose W cable died.
-        n = self.num_nodes
-        chain = [(west_node + k) % n for k in range(n)]
-        for node_id in chain:
-            entries = chain_route_entries(self.address_map, node_id, chain)
-            self._write_routes(self.boards[node_id].chip.regs, node_id,
-                               entries)
-        self.heals_completed += 1
-        self.last_heal_chain = chain
-        if dead_link.down_since_ps is not None:
-            self.last_time_to_heal_ps = (self.engine.now_ps
-                                         - dead_link.down_since_ps)
-        if self.engine.tracer is not None:
-            self.engine.trace("tca", "heal", link=dead_link.name,
-                              chain=",".join(str(i) for i in chain))
-        if self.engine.metrics is not None:
-            metrics = self.engine.metrics
-            metrics.counter("tca.reroutes").inc()
-            if self.last_time_to_heal_ps is not None:
-                metrics.histogram("tca.time_to_heal_ns").observe(
-                    self.last_time_to_heal_ps / 1000.0)
-        return chain
-
-    def cut_fabric_cable(self, dim: int, plus_node: int,
-                         force: bool = False) -> None:
-        """Unplug the plus-direction cable of one torus dimension.
-
-        Mirrors :meth:`cut_ring_cable` (which is the ``dim == 0`` case):
-        a second cut on the *same ring* would partition that ring, so it
-        is rejected unless ``force=True``.  Cuts on different rings can
-        each be healed independently.
-        """
-        for cable_dim, a, b, link in self._fabric_cables:
-            if cable_dim != dim or a != plus_node:
-                continue
-            if not link.up:
-                raise ConfigError(
-                    f"the dimension-{dim} cable off node {plus_node} is "
-                    "already down")
-            link.take_down()
-            return
-        raise ConfigError(
-            f"no dimension-{dim} cable leaves node {plus_node}'s plus port")
-
-    def _heal_torus(self) -> List[FabricCut]:
-        """Reroute around every down fabric cable (generalized PEARL).
-
-        Each ring containing a broken cable degrades to a chain in its
-        dimension; the builder raises if two cuts land on one ring (that
-        ring would partition).  Returns the applied cuts.
-        """
-        for board in self.boards:
-            board.chip.firmware.scan_links()
-        down = [(dim, a, b, link)
-                for dim, a, b, link in self._fabric_cables if not link.up]
-        if not down:
-            raise ConfigError("no failed cable found")
-        cuts = tuple(FabricCut(dim=dim, plus_of=a)
-                     for dim, a, b, link in down)
-        nodes = list(range(self.num_nodes))
-        for node_id in nodes:
-            entries = fabric_route_entries(self.address_map, node_id,
-                                           self.geometry, nodes, cuts=cuts)
-            self._write_routes(self.boards[node_id].chip.regs, node_id,
-                               entries)
+        cuts = [FabricCut(dim=dim, plus_of=a) for dim, a, _ in down]
+        self._write_routes(self._route_tables(cuts))
         self.heals_completed += 1
         self.last_heal_chain = None
-        dead_link = down[0][3]
+        if self.geometry.ndims == 1:
+            # The chain runs W->E from the node whose W cable died.
+            n = self.num_nodes
+            self.last_heal_chain = [(cuts[0].plus_of + 1 + k) % n
+                                    for k in range(n)]
+        dead_link = down[0][2]
         if dead_link.down_since_ps is not None:
             self.last_time_to_heal_ps = (self.engine.now_ps
                                          - dead_link.down_since_ps)
         if self.engine.tracer is not None:
             self.engine.trace(
                 "tca", "heal",
-                link=",".join(link.name for _, _, _, link in down),
+                link=",".join(link.name for _, _, link in down),
                 cuts=",".join(f"d{cut.dim}+{cut.plus_of}" for cut in cuts))
         if self.engine.metrics is not None:
             metrics = self.engine.metrics
@@ -396,7 +345,7 @@ class TCASubCluster:
             if self.last_time_to_heal_ps is not None:
                 metrics.histogram("tca.time_to_heal_ns").observe(
                     self.last_time_to_heal_ps / 1000.0)
-        return list(cuts)
+        return cuts if self.last_heal_chain is None else self.last_heal_chain
 
     # -- firmware-driven auto-heal --------------------------------------------
 

@@ -237,6 +237,25 @@ def test_scheduler_breaks_equal_cost_ties_by_name():
         "heavy", "alpha", "mid", "zeta"]
 
 
+def test_scheduler_runs_same_name_jobs_apart():
+    # One entry submitted twice (other mode or seed) shares its name:
+    # tasks, worker messages and spill files go by the job's position,
+    # so neither job's messages are dropped as the other's.
+    jobs = [_job("theory", key="a" * 64, seed=1),
+            _job("theory", key="b" * 64, seed=2),
+            _job("table1", key="c" * 64)]
+    for job in jobs:
+        job.deadline_s, job.max_attempts = 3.0, 1
+    events = []
+    outcome = JobScheduler(jobs, _ok_runner, workers=2,
+                           on_event=lambda k, i: events.append((k, i))).run()
+    assert outcome.ok, [j.to_dict() for j in jobs]
+    assert outcome.counters["stale_messages"] == 0
+    assert [json.loads(j.payload_json)["seed"] for j in jobs] == [1, 2, 0]
+    done = sorted(info["key"] for kind, info in events if kind == "job-done")
+    assert done == ["a" * 64, "b" * 64, "c" * 64]
+
+
 def test_scheduler_requeues_after_worker_death(tmp_path):
     jobs = _three_jobs()
     events = []

@@ -128,7 +128,8 @@ class TestPerfCLI:
         for command in ("theory", "all", "suite", "serve"):
             assert main([command, "--bench-json", str(out)]) == 2
             err = capsys.readouterr().err
-            assert "requires the 'perf' experiment" in err, command
+            assert "does not read --bench-json (perf and serve-bench)" \
+                in err, command
         assert not out.exists()
 
     def test_perf_refuses_session_flags_before_running(self, tmp_path,

@@ -73,11 +73,6 @@ class TestAllreduce:
             total = total + v
         assert all(np.array_equal(r, total) for r in results)
 
-    def test_hierarchical_requires_dual_ring(self):
-        with pytest.raises(ConfigError):
-            TCACollectives(make_cluster(4)).allreduce(vectors(4, 512),
-                                                      hierarchical=True)
-
     def test_dual_ring_beats_flat_ring_latency(self):
         """The hierarchical schedule (N-1 steps) beats flat 2(N-1)."""
         vecs = vectors(8, 256)  # 1 KiB: latency-dominated

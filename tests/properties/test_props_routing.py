@@ -7,11 +7,18 @@ from repro.hw.node import NodeParams
 from repro.peach2.registers import PortCode
 from repro.tca.address_map import TCAAddressMap
 from repro.tca.comm import TCAComm
+from repro.tca.fabric import TorusGeometry, fabric_route_entries
 from repro.tca.subcluster import TCASubCluster
-from repro.tca.topology import ring_hop_count, ring_route_entries
+from repro.tca.topology import ring_hop_count
 from repro.units import GiB
 
 AMAP = TCAAddressMap(512 * GiB)
+
+
+def ring_route_entries(amap, node_id, ring):
+    """A single ring's table: the 1D torus over ``ring`` in cable order."""
+    return fabric_route_entries(amap, node_id, TorusGeometry((len(ring),)),
+                                ring)
 
 
 def route_port(entries, address):

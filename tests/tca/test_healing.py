@@ -8,13 +8,20 @@ from repro.hw.node import NodeParams
 from repro.peach2.registers import PortCode
 from repro.tca.address_map import TCAAddressMap
 from repro.tca.comm import TCAComm
+from repro.tca.fabric import FabricCut, TorusGeometry, fabric_route_entries
 from repro.tca.subcluster import DUAL_RING, TCASubCluster
-from repro.tca.topology import chain_route_entries
 from repro.units import GiB
 
 
 def cluster(n=4):
     return TCASubCluster(n, node_params=NodeParams(num_gpus=1))
+
+
+def chain_route_entries(amap, node_id, chain):
+    """A chain's table: the 1D torus over ``chain`` with the cable out of
+    its East end cut, as :meth:`TCASubCluster.heal` programs it."""
+    return fabric_route_entries(amap, node_id, TorusGeometry((len(chain),)),
+                                chain, cuts=(FabricCut(0, chain[-1]),))
 
 
 class TestChainRouting:
@@ -111,7 +118,7 @@ class TestHealing:
         with pytest.raises(ConfigError, match="already down"):
             c.cut_ring_cable(2)
         # The guarded cut did not touch the second cable.
-        assert sum(1 for _, _, link in c._ring_cables if not link.up) == 1
+        assert sum(1 for *_, link in c._fabric_cables if not link.up) == 1
 
     def test_cutting_same_cable_twice_rejected(self):
         c = cluster(4)

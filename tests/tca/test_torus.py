@@ -13,7 +13,7 @@ from repro.errors import ConfigError
 from repro.hw.node import NodeParams
 from repro.pcie.port import PortRole
 from repro.tca.comm import TCAComm
-from repro.tca.fabric import FabricCut
+from repro.tca.fabric import FabricCut, TorusGeometry
 from repro.tca.subcluster import TORUS, TCASubCluster
 
 
@@ -65,6 +65,21 @@ class TestConstruction:
     def test_rings_reports_dim0_rings(self):
         cluster = make_torus((4, 2))
         assert cluster.rings() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_ring_is_the_one_dimensional_torus(self, n):
+        """A RING cluster is built as the torus (n,): same geometry,
+        cables, link names, rings and route registers on every chip."""
+        ring = TCASubCluster(n, node_params=NodeParams(num_gpus=1))
+        torus = make_torus((n,))
+        assert ring.geometry == torus.geometry == TorusGeometry((n,))
+        assert ring.fabric_cables() == torus.fabric_cables()
+        assert ([link.name for *_, link in ring._fabric_cables]
+                == [link.name for *_, link in torus._fabric_cables])
+        assert ring.rings() == torus.rings() == [list(range(n))]
+        for node_id in range(n):
+            assert (ring.board(node_id).chip.regs.routes()
+                    == torus.board(node_id).chip.regs.routes())
 
     def test_fabric_cables_cover_every_dimension(self):
         cluster = make_torus((2, 2))
@@ -124,9 +139,37 @@ class TestHealing:
     def test_double_cut_on_one_ring_partitions(self):
         cluster = make_torus((4, 2))
         cluster.cut_fabric_cable(0, 0)
-        cluster.cut_fabric_cable(0, 2)
+        cluster.cut_fabric_cable(0, 2, force=True)
         with pytest.raises(ConfigError, match="partition"):
             cluster.heal()
+
+    def test_second_cut_on_one_ring_needs_force(self):
+        cluster = make_torus((4, 2))
+        cluster.cut_fabric_cable(0, 0)
+        with pytest.raises(ConfigError, match="already down"):
+            cluster.cut_fabric_cable(0, 2)
+        down = [(dim, a) for dim, a, _, link in cluster._fabric_cables
+                if not link.up]
+        assert down == [(0, 0)]
+        # Other rings, of either dimension, can each lose one cable.
+        cluster.cut_fabric_cable(0, 4)
+        cluster.cut_fabric_cable(1, 1)
+        assert len(cluster.heal()) == 3
+        assert all_pairs_delivered(cluster)
+
+    def test_partitioned_heal_leaves_every_route_register(self):
+        """The heal computes every table before writing any: a partition
+        found on one ring must not leave other nodes reprogrammed."""
+        cluster = make_torus((4, 2))
+        before = [cluster.board(i).chip.regs.routes() for i in range(8)]
+        cluster.cut_fabric_cable(1, 0)
+        cluster.cut_fabric_cable(0, 4)
+        cluster.cut_fabric_cable(0, 6, force=True)
+        with pytest.raises(ConfigError, match="partition"):
+            cluster.heal()
+        assert [cluster.board(i).chip.regs.routes()
+                for i in range(8)] == before
+        assert cluster.heals_completed == 0
 
     def test_unknown_cable_rejected(self):
         cluster = make_torus((2, 2))
@@ -164,12 +207,6 @@ class TestTorusAllreduce:
         for v in vecs[1:]:
             total = total + v
         assert all(np.array_equal(r, total) for r in results)
-
-    def test_torus_schedule_requires_torus_cluster(self):
-        ring = TCASubCluster(4, node_params=NodeParams(num_gpus=1))
-        vecs = [np.zeros(64, dtype=np.uint32) for _ in range(4)]
-        with pytest.raises(ConfigError):
-            TCACollectives(ring).allreduce(vecs, torus=True)
 
     def test_torus_beats_flat_ring_at_16(self):
         """2(k-1) steps per dimension pair vs 2(N-1): >= 1.5x at 4x4."""
