@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_group.add_argument("--overhead-budget", type=float, default=None,
                             metavar="RATIO",
                             help="maximum instrumented/bare overhead "
-                                 "ratio (default 3.0)")
+                                 "ratio (default 2.0)")
     perf_group.add_argument("--perf-experiments", metavar="NAMES",
                             default=None,
                             help="comma-separated subset of the perf "

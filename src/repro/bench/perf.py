@@ -54,10 +54,11 @@ PERF_EXPERIMENTS: Dict[str, Callable[[], object]] = {
 SCHEMA = "tca-bench-perf/1"
 
 #: Default gate limits: fail on >15 % bare events/s regression, or an
-#: instrumented/bare overhead ratio above 3.0x (BENCH_PR3 measured
-#: 1.6-2.0x, so 3.0x means "observability cost regressed badly").
+#: instrumented/bare overhead ratio above 2.0x (contention measures
+#: 1.2-1.5x since trace records are stored as rows, so 2.0x means
+#: "observability cost regressed badly").
 DEFAULT_THRESHOLD = 0.15
-DEFAULT_OVERHEAD_BUDGET = 3.0
+DEFAULT_OVERHEAD_BUDGET = 2.0
 
 
 @dataclass

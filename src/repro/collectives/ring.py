@@ -126,8 +126,9 @@ class TCACollectives:
         tsc = yield from self.flags.wait(node, flag, self._expect[key])
         # The flag-wait span is what the critical-path analyzer walks
         # (repro.obs.critpath); a strict no-op without a tracer.
-        self.engine.trace(f"coll.n{node}", "coll-wait", flag=flag,
-                          dur_ps=self.engine.now_ps - start_ps)
+        if self.engine.tracer is not None:
+            self.engine.trace(f"coll.n{node}", "coll-wait", flag=flag,
+                              dur_ps=self.engine.now_ps - start_ps)
         return tsc
 
     def _put(self, src_node: int, src_offset: int, dst_node: int,
@@ -177,10 +178,12 @@ class TCACollectives:
             src_node, src_offset, dst_node, dst_offset, nbytes)
         self.flags.signal(src_node, dst_node, flag)
         # One span per flagged put, decomposed for repro.obs.critpath.
-        self.engine.trace(f"coll.n{src_node}", "coll-put", flag=flag,
-                          dst=dst_node, nbytes=nbytes, transport=transport,
-                          wire_ps=wire_ps, queue_ps=queue_ps,
-                          dur_ps=self.engine.now_ps - start_ps)
+        if self.engine.tracer is not None:
+            self.engine.trace(f"coll.n{src_node}", "coll-put", flag=flag,
+                              dst=dst_node, nbytes=nbytes,
+                              transport=transport, wire_ps=wire_ps,
+                              queue_ps=queue_ps,
+                              dur_ps=self.engine.now_ps - start_ps)
 
     def _reduce_into(self, node: int, accum_offset: int,
                      staging_offset: int, nbytes: int) -> None:

@@ -106,7 +106,8 @@ class FaultInjector:
             if link.up:
                 link.take_down()
                 self.count("link_flaps")
-                self.engine.trace("faults", "link-cut", link=link.name)
+                if self.engine.tracer is not None:
+                    self.engine.trace("faults", "link-cut", link=link.name)
 
         self.engine.at(down_at, cut)
         if flap.up_at_ps is not None:

@@ -49,7 +49,8 @@ class CPU(Device):
         if tlp.kind is TLPKind.MSI:
             self.interrupts_received += 1
             vector = int.from_bytes(tlp.payload.tobytes(), "little")
-            self.engine.trace(self.name, "msi", vector=vector)
+            if self.engine.tracer is not None:
+                self.engine.trace(self.name, "msi", vector=vector)
             if self.engine.metrics is not None:
                 self.engine.metrics.counter(
                     f"cpu.{self.name}.interrupts").inc()

@@ -100,6 +100,10 @@ class HostMemory(Device):
                                  name=f"{name}.readers")
         self.bytes_written = 0
         self.bytes_read = 0
+        # Bytes-written counter handle, bound once per registry (hit per
+        # committed write).
+        self._bound_metrics = None
+        self._m_written = None
 
     # -- fabric-facing --------------------------------------------------------
 
@@ -119,12 +123,18 @@ class HostMemory(Device):
     def _commit(self, offset: int, payload: np.ndarray) -> None:
         self.store.write(offset, payload)
         self.bytes_written += len(payload)
-        if self.engine.tracer is not None:
-            self.engine.trace(self.name, "mem-commit", offset=offset,
-                              bytes=len(payload))
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter(
-                f"mem.{self.name}.bytes_written").inc(len(payload))
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer is not None:
+            tracer.emit(engine._now_ps, self.name, "mem-commit",
+                        offset=offset, bytes=len(payload))
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bound_metrics = metrics
+                self._m_written = metrics.counter(
+                    f"mem.{self.name}.bytes_written")
+            self._m_written.inc(len(payload))
 
     def _serve_read(self, request: TLP):
         yield self._readers.acquire()

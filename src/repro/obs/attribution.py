@@ -135,18 +135,20 @@ def attribute_pio(records: Iterable[TraceRecord],
     Zero-length segments (e.g. a store accepted in the same picosecond)
     are dropped unless ``keep_zero``.
     """
-    records = list(records)
-    stores = [r for r in records if r.kind == events.PIO_STORE]
-    if not stores:
+    # The passes below stream ``records`` (a tracer's view builds each
+    # record as it is read); only a one-shot iterator is kept in a list.
+    if iter(records) is records:
+        records = list(records)
+    t0 = next((r.time_ps for r in records if r.kind == events.PIO_STORE),
+              None)
+    if t0 is None:
         raise AttributionError("no pio-store event in trace "
                                "(tracing disabled, or no PIO traffic)")
-    t0 = stores[0].time_ps
-    commits = [r for r in records
-               if r.kind == events.MEM_COMMIT and r.time_ps >= t0]
-    if not commits:
+    t_end = next((r.time_ps for r in records
+                  if r.kind == events.MEM_COMMIT and r.time_ps >= t0), None)
+    if t_end is None:
         raise AttributionError("no mem-commit event after the pio-store; "
                                "the store never reached a memory completer")
-    t_end = commits[0].time_ps
     marks = _milestones(records, events.PIO_MILESTONES, t0, t_end)
     # Keep a single store/commit even if later traffic overlaps the window.
     marks = [m for m in marks

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.collectives.ring import (FLAG_AG, FLAG_BARRIER, FLAG_BCAST,
                                     FLAG_RS, FLAG_X)
@@ -154,7 +154,7 @@ class CritPathReport:
         return "\n".join(lines)
 
 
-def analyze(records: List[TraceRecord]) -> CritPathReport:
+def analyze(records: Iterable[TraceRecord]) -> CritPathReport:
     """Rebuild the per-step dependency chain from collective records.
 
     Both rings of a dual-ring schedule reuse the same step flags
@@ -210,7 +210,7 @@ class CollectiveRecorder(Tracer):
     everything to any tracer that was already installed."""
 
     def __init__(self, chain: Optional[Any] = None):
-        super().__init__(enabled=True, max_records=None)
+        super().__init__(max_records=None)
         self.chain = chain
 
     def emit(self, time_ps: int, component: str, kind: str,

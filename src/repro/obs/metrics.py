@@ -62,17 +62,8 @@ class Gauge(Metric):
         self._last_ps: Optional[int] = None
         self._integral = 0.0  # sum of level * dt since _start_ps
 
-    def _now(self, time_ps: Optional[int]) -> int:
-        if time_ps is not None:
-            return time_ps
-        if self._clock is None:
-            raise ValueError(f"gauge {self.name!r} has no clock; "
-                             "pass time_ps explicitly")
-        return self._clock()
-
     def set(self, value: float, time_ps: Optional[int] = None) -> None:
         """Record that the level is ``value`` from ``time_ps`` onward."""
-        # _now() inlined: set() runs on per-TLP paths, one call frame less.
         if time_ps is None:
             if self._clock is None:
                 raise ValueError(f"gauge {self.name!r} has no clock; "

@@ -56,7 +56,7 @@ class Observability:
     def attach(self, engine: Engine, label: Optional[str] = None) -> None:
         """Install a fresh tracer/registry pair on ``engine``."""
         label = label or f"engine{len(self.attached)}"
-        tracer = Tracer(enabled=self.tracing, max_records=self.max_records)
+        tracer = Tracer(max_records=self.max_records)
         registry = MetricsRegistry(
             clock=lambda e=engine: e.now_ps,
             histogram_reservoir=self.histogram_reservoir)
@@ -91,7 +91,7 @@ class Observability:
 
     @property
     def total_records(self) -> int:
-        return sum(len(t.records) for _, _, t, _ in self.attached)
+        return sum(len(t) for _, _, t, _ in self.attached)
 
     @property
     def total_dropped(self) -> int:

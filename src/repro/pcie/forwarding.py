@@ -58,7 +58,7 @@ class EgressQueue:
             if metrics is not self._bound_metrics:
                 self._bound_metrics = metrics
                 self._m_depth = metrics.gauge(f"egress.{self.name}.depth")
-            self._m_depth.set(len(self.store))
+            self._m_depth.set(len(self.store), self.engine._now_ps)
 
     def submit(self, tlp: TLP) -> Signal:
         """Hand a transit/ejection packet to the egress stage.

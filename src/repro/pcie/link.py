@@ -169,21 +169,21 @@ class _Direction:
                 if metrics is not None:
                     if metrics is not self._bound_metrics:
                         self._bind_metrics(metrics)
-                    self._m_busy.set(1, engine.now_ps)
+                    self._m_busy.set(1, engine._now_ps)
                 yield serialize_ps
                 self.wire_bytes_carried += wire_bytes
                 self.wire_tlps_carried += 1
                 tracer = engine.tracer
                 if tracer is not None:
-                    tracer.emit(engine.now_ps, self.name, "link-tx",
+                    tracer.emit(engine._now_ps, self.name, "link-tx",
                                 dur_ps=serialize_ps,
                                 bytes=wire_bytes,
-                                tlp=tlp.kind.value)
+                                tlp=tlp.kind._value_)
                 metrics = engine.metrics
                 if metrics is not None:
                     if metrics is not self._bound_metrics:
                         self._bind_metrics(metrics)
-                    self._m_busy.set(0, engine.now_ps)
+                    self._m_busy.set(0, engine._now_ps)
                     self._m_wire_tlps.inc()
                     self._m_wire_bytes.inc(wire_bytes)
 

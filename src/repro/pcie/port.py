@@ -79,8 +79,8 @@ class Port:
         self.tlps_sent += 1
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.emit(self.engine.now_ps, self.name, "tlp-sent",
-                        tlp=tlp.kind.value, addr=tlp.address,
+            tracer.emit(self.engine._now_ps, self.name, "tlp-sent",
+                        tlp=tlp.kind._value_, addr=tlp.address,
                         bytes=tlp.wire_bytes)
         return self.link.transmit(self, tlp)
 
@@ -95,8 +95,8 @@ class Port:
             self.tlps_received += 1
             tracer = engine.tracer
             if tracer is not None:
-                tracer.emit(engine.now_ps, self.name, "tlp-recv",
-                            tlp=tlp.kind.value, addr=tlp.address,
+                tracer.emit(engine._now_ps, self.name, "tlp-recv",
+                            tlp=tlp.kind._value_, addr=tlp.address,
                             bytes=tlp.wire_bytes)
             drained = self.ingress_drained
             if drained is not None:

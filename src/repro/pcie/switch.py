@@ -109,10 +109,12 @@ class PCIeSwitch(Device):
                     f"switch.{self.name}.dropped").inc()
             return
         self.tlps_forwarded += 1
-        if self.engine.tracer is not None:
-            self.engine.trace(self.name, "switch-forward",
-                              tlp=tlp.kind.value, out=out.name)
-        metrics = self.engine.metrics
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer is not None:
+            tracer.emit(engine._now_ps, self.name, "switch-forward",
+                        tlp=tlp.kind._value_, out=out.name)
+        metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:
                 self._bound_metrics = metrics

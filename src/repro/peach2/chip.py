@@ -121,6 +121,9 @@ class PEACH2Chip(Device):
         self.console = ManagementConsole(self)
         self._route_cache: Optional[Tuple[int, list]] = None
         self.tlps_routed = 0
+        # Routed-counter handle, bound once per registry (hit per TLP).
+        self._bound_metrics = None
+        self._m_routed = None
 
     # -- configuration -------------------------------------------------------------
 
@@ -246,11 +249,18 @@ class PEACH2Chip(Device):
                 injection: bool = False):
         self.tlps_routed += 1
         self.firmware.note_routed(out)
-        self.engine.trace(self.name, "route", tlp=tlp.kind.value,
-                          addr=hex(tlp.address), out=out.name,
-                          translated=translated is not None)
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter(f"peach2.{self.name}.routed").inc()
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer is not None:
+            tracer.emit(engine._now_ps, self.name, "route",
+                        tlp=tlp.kind._value_, addr=hex(tlp.address),
+                        out=out.name, translated=translated is not None)
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bound_metrics = metrics
+                self._m_routed = metrics.counter(f"peach2.{self.name}.routed")
+            self._m_routed.inc()
         if translated is not None:
             tlp = TLP(tlp.kind, address=translated, length=tlp.length,
                       payload=tlp.payload, requester_id=tlp.requester_id,

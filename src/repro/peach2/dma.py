@@ -108,8 +108,9 @@ class DMAController:
                            "descriptors programmed")
         self._running[channel] = True
         self.chains_per_channel[channel] += 1
-        self.engine.trace(self.chip.name, "dma-start", channel=channel,
-                          descriptors=count)
+        if self.engine.tracer is not None:
+            self.engine.trace(self.chip.name, "dma-start", channel=channel,
+                              descriptors=count)
         done = self.engine.signal(f"{self.chip.name}.dma{channel}.done")
         self.chain_done[channel] = done
         self.chip.regs.set_dma_status(channel, STATUS_RUNNING)
@@ -231,8 +232,9 @@ class DMAController:
         self._running[channel] = False
         self._abort_requested[channel] = False
         self.chains_completed += 1
-        self.engine.trace(self.chip.name, "dma-done", channel=channel,
-                          aborted=aborted)
+        if self.engine.tracer is not None:
+            self.engine.trace(self.chip.name, "dma-done", channel=channel,
+                              aborted=aborted)
         if self.engine.metrics is not None:
             metrics = self.engine.metrics
             metrics.counter(f"dma.{self.chip.name}.chains").inc()

@@ -1,9 +1,14 @@
-"""Lightweight tracing and counters for simulation components.
+"""Lightweight tracing for simulation components.
 
 Hardware models call :meth:`Tracer.emit` at interesting moments (TLP sent,
-descriptor fetched, interrupt raised...).  Tracing is off by default and
-costs one attribute check per call site when disabled — a disabled tracer
-does **no** work at all, not even counting.
+descriptor fetched, interrupt raised...).  A tracer records because it is
+installed: with none on the engine (``engine.tracer is None``) a call site
+costs one ``None`` check and builds nothing.
+
+Storage is a flat list of rows, four slots per record, so recording
+allocates nothing the garbage collector tracks (the detail dicts hold
+only ints, strings and bools, which CPython leaves untracked).
+:class:`TraceRecord` objects are built only when a record is read.
 
 Span convention: a record whose ``detail`` carries ``dur_ps`` describes an
 interval that *ended* at ``time_ps`` after lasting ``dur_ps`` picoseconds
@@ -13,9 +18,16 @@ latency-attribution walker in :mod:`repro.obs` rely on this.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from operator import countOf
+from typing import Any, Dict, Iterator, Optional
+
+# Slots per record in a tracer's rows: time_ps, component, kind, detail.
+_WIDTH = 4
 
 
 @dataclass(slots=True)
@@ -37,38 +49,71 @@ class TraceRecord:
         return f"[{self.time_ps / 1000:12.3f}ns] {self.component}: {self.kind} {items}"
 
 
-class Tracer:
-    """Collects :class:`TraceRecord` objects and per-kind counters."""
+class TraceRecords(Sequence):
+    """Read-only view of a tracer's rows; each read builds one record."""
 
-    def __init__(self, enabled: bool = False, max_records: Optional[int] = 100_000):
-        self.enabled = enabled
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows) // _WIDTH
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        start = range(len(self))[index] * _WIDTH
+        return TraceRecord(*self._rows[start:start + _WIDTH])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        rows = iter(self._rows)
+        for time_ps, component, kind, detail in zip(rows, rows, rows, rows):
+            yield TraceRecord(time_ps, component, kind, detail)
+
+
+class Tracer:
+    """Collects trace records as flat rows."""
+
+    def __init__(self, max_records: Optional[int] = 100_000):
         self.max_records = max_records
-        self.records: List[TraceRecord] = []
-        self.counters: Counter = Counter()
-        #: Records rejected because :attr:`max_records` was reached.  The
-        #: per-kind counters keep counting past the cap, so a nonzero value
-        #: here flags that ``records`` is an incomplete window.
-        self.dropped = 0
+        self._rows: list = []
+        # Row slots the cap allows; emit compares the list length to it.
+        self._room = (sys.maxsize if max_records is None
+                      else _WIDTH * max_records)
+        # Per-kind tally of the records dropped past the cap.
+        self._dropped_kinds: Counter = Counter()
 
     def emit(self, time_ps: int, component: str, kind: str, **detail: Any) -> None:
-        """Record one event (a strict no-op when disabled)."""
-        if not self.enabled:
-            return
-        self.counters[kind] += 1
-        if self.max_records is not None and len(self.records) >= self.max_records:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(time_ps, component, kind, detail))
+        """Record one event."""
+        rows = self._rows
+        if len(rows) < self._room:
+            rows.extend((time_ps, component, kind, detail))
+        else:
+            self._dropped_kinds[kind] += 1
+
+    def __len__(self) -> int:
+        """Records kept (dropped ones excluded); builds no record."""
+        return len(self._rows) // _WIDTH
+
+    @property
+    def records(self) -> TraceRecords:
+        """The kept records, in emission order (a view, not a copy)."""
+        return TraceRecords(self._rows)
+
+    @property
+    def dropped(self) -> int:
+        """Records rejected because :attr:`max_records` was reached.  A
+        nonzero value flags that :attr:`records` is an incomplete window."""
+        return sum(self._dropped_kinds.values())
 
     def count(self, kind: str) -> int:
-        """Number of events of ``kind`` seen so far (while enabled)."""
-        return self.counters[kind]
+        """Number of events of ``kind`` emitted, dropped ones included."""
+        return (countOf(islice(self._rows, 2, None, _WIDTH), kind)
+                + self._dropped_kinds[kind])
 
     def clear(self) -> None:
-        """Drop all records, counters and the dropped tally."""
-        self.records.clear()
-        self.counters.clear()
-        self.dropped = 0
+        """Drop all records and the dropped tally."""
+        self._rows.clear()
+        self._dropped_kinds.clear()
 
     def dump(self) -> str:
         """All records as a newline-joined string (for debugging)."""

@@ -20,14 +20,17 @@ from typing import List, Tuple
 from repro.baselines.fabric import SwitchedFabric, SwitchedHca
 from repro.baselines.ib import IBParams, QDR_PARAMS
 from repro.baselines.mpi import MPIParams, MPIWorld
+from repro.cuda.runtime import CudaContext
+from repro.drivers.p2p_driver import P2PDriver
 from repro.errors import ConfigError
 from repro.hw.node import ComputeNode, NodeParams
+from repro.pcie.gen import PCIeGen
 from repro.peach2.board import PEACH2Board
 from repro.peach2.chip import PEACH2Params
 from repro.sim.core import Engine
 from repro.tca.comm import TCAComm
 from repro.tca.fabric import TorusGeometry
-from repro.tca.subcluster import TCASubCluster
+from repro.tca.subcluster import RING, TCASubCluster
 
 
 class HybridCluster:
@@ -85,19 +88,16 @@ class _SubClusterWithHcas:
     def __init__(self, engine, n, node_params, peach2_params, ib_params,
                  hub, prefix):
         # TCASubCluster builds nodes itself; we need HCAs installed before
-        # enumeration, so replicate its build with an extra adapter.
-        from repro.cuda.runtime import CudaContext
-        from repro.drivers.peach2_driver import PEACH2Driver
-
+        # enumeration, so build the ring's nodes here and let the
+        # sub-cluster assemble the fabric from them.
         self.hcas: List[SwitchedHca] = []
         cluster = TCASubCluster.__new__(TCASubCluster)
         cluster.engine = engine
-        cluster.topology = "ring"
+        cluster.topology = RING
         cluster.geometry = TorusGeometry((n,))
         cluster.nodes = []
         cluster.boards = []
         cluster.cuda = []
-        from repro.drivers.p2p_driver import P2PDriver
         cluster.p2p = P2PDriver()
         for i in range(n):
             node = ComputeNode(engine, f"{prefix}.node{i}", node_params)
@@ -106,28 +106,13 @@ class _SubClusterWithHcas:
             node.install_adapter(board, lanes=8)
             hca = SwitchedHca(engine, f"{prefix}.node{i}.hca", ib_params,
                               hub)
-            from repro.pcie.gen import PCIeGen
             node.install_adapter(hca, lanes=8, gen=PCIeGen.GEN3)
             node.enumerate()
             cluster.nodes.append(node)
             cluster.boards.append(board)
             cluster.cuda.append(CudaContext(node))
             self.hcas.append(hca)
-
-        from repro.errors import ConfigError as _CE
-        from repro.tca.address_map import TCAAddressMap
-
-        bases = {b.chip.bar4.base for b in cluster.boards}
-        if len(bases) != 1:
-            raise _CE("sub-cluster nodes enumerated differently")
-        cluster.address_map = TCAAddressMap(bases.pop())
-        cluster._cable()
-        cluster._program_registers()
-        cluster.drivers = [PEACH2Driver(node, board)
-                           for node, board in zip(cluster.nodes,
-                                                  cluster.boards)]
-        for board in cluster.boards:
-            board.chip.firmware.scan_links()
+        cluster._assemble()
         self.cluster = cluster
 
 

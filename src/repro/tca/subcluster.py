@@ -125,7 +125,19 @@ class TCASubCluster:
             self.nodes.append(node)
             self.boards.append(board)
             self.cuda.append(CudaContext(node, cuda_params))
+        self._assemble()
 
+    # -- construction helpers ---------------------------------------------------
+
+    def _assemble(self) -> None:
+        """Join the enumerated nodes into a running fabric.
+
+        Everything after BIOS enumeration: the shared address map,
+        cabling, register programming, drivers, the NIOS baseline scan,
+        heal accounting and the fault-injector attach.
+        :class:`~repro.tca.hybrid.HybridCluster` builds its nodes itself
+        (an IB HCA rides in the same slot scan) and then calls this.
+        """
         bases = {board.chip.bar4.base for board in self.boards}
         if len(bases) != 1:
             raise ConfigError("BIOS gave nodes different TCA windows; the "
@@ -134,7 +146,7 @@ class TCASubCluster:
         # Fig. 4's default 16 x 32-GiB split, halved (power-of-two node
         # regions, so comparators still match upper bits only) until the
         # fabric fits; sub-16-node clusters keep the paper's geometry.
-        stride = window // _node_slots(num_nodes)
+        stride = window // _node_slots(len(self.nodes))
         self.address_map = TCAAddressMap(bases.pop(), window_bytes=window,
                                          node_stride=stride,
                                          block_size=stride // 4)
@@ -154,8 +166,6 @@ class TCASubCluster:
         # A fault injector armed before construction sees our fabric links.
         if self.engine.faults is not None:
             self.engine.faults.attach_cluster(self)
-
-    # -- construction helpers ---------------------------------------------------
 
     def _cable(self) -> None:
         self._fabric_cables = []  # (dim, plus_node, minus_node, link)

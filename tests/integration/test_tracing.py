@@ -10,7 +10,7 @@ from repro.sim.trace import Tracer
 def test_dma_run_produces_trace(peach2_node):
     node, board = peach2_node
     driver = PEACH2Driver(node, board)
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     node.engine.tracer = tracer
 
     board.chip.internal.write(0, np.arange(64, dtype=np.uint8))
@@ -28,7 +28,7 @@ def test_dma_run_produces_trace(peach2_node):
 def test_trace_records_are_time_ordered(peach2_node):
     node, board = peach2_node
     driver = PEACH2Driver(node, board)
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     node.engine.tracer = tracer
     board.chip.internal.write(0, np.zeros(64, dtype=np.uint8))
     node.engine.run_process(driver.run_chain(

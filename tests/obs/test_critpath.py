@@ -130,7 +130,7 @@ class TestRecorder:
 
     def test_forwards_to_chained_tracer(self):
         cluster = make_cluster(2)
-        full = Tracer(enabled=True, max_records=None)
+        full = Tracer(max_records=None)
         cluster.engine.tracer = full
         with record_collective(cluster.engine) as recorder:
             TCACollectives(cluster).allreduce(vectors(2, 256))

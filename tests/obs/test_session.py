@@ -1,6 +1,7 @@
 """Observability session wiring: engines created inside get instrumented."""
 
 from repro.obs import Observability
+from repro.sim import trace
 from repro.sim.core import Engine
 
 
@@ -53,3 +54,16 @@ def test_totals_aggregate_across_engines():
     b.trace("y", "k")
     assert obs.total_records == 2
     assert obs.total_dropped == 1
+
+
+def test_total_records_builds_no_record(monkeypatch):
+    def built(*args):
+        raise AssertionError("a TraceRecord was built")
+
+    monkeypatch.setattr(trace, "TraceRecord", built)
+    obs = Observability()
+    with obs.session():
+        engine = Engine()
+    for i in range(3):
+        engine.trace("x", "k", n=i)
+    assert obs.total_records == 3

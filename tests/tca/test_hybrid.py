@@ -42,6 +42,13 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             HybridCluster(num_subclusters=0)
 
+    def test_subcluster_heals_a_cut_ring(self):
+        sub = HybridCluster(num_subclusters=2,
+                            nodes_per_subcluster=4).subclusters[0]
+        sub.cut_ring_cable(0)
+        assert sub.heal() == [1, 2, 3, 0]
+        assert sub.heals_completed == 1
+
 
 class TestHybridComm:
     def test_local_put_uses_tca(self):
