@@ -13,13 +13,15 @@ the engine's integer picoseconds.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from repro.obs.attribution import Segment
-from repro.sim.trace import TraceRecord
+from typing import Any, Dict, Iterator, Sequence
 
 _PS_PER_US = 1_000_000.0
+
+#: Events per ``encode`` call of :func:`write_perfetto`: enough to
+#: amortise the encoder's set-up per call, few enough to keep memory flat.
+_EVENTS_PER_WRITE = 1024
 
 #: Perfetto sorts same-name tracks by tid; keep attribution on top.
 ATTRIBUTION_TRACK = "latency-attribution"
@@ -34,58 +36,42 @@ def _args(detail: Dict[str, Any]) -> Dict[str, Any]:
             for k, v in detail.items()}
 
 
-class _TidAllocator:
-    """Stable component -> tid mapping in first-seen order."""
+def _events(engines: Sequence[tuple]) -> Iterator[dict]:
+    """Every event of the trace document, in document order.
 
-    def __init__(self) -> None:
-        self._tids: Dict[str, int] = {}
-        self.metadata: List[dict] = []
-
-    def tid(self, pid: int, component: str) -> int:
-        tid = self._tids.get(component)
-        if tid is None:
-            tid = len(self._tids) + 1
-            self._tids[component] = tid
-            self.metadata.append({
-                "ph": "M", "pid": pid, "tid": tid,
-                "name": "thread_name", "args": {"name": component},
-            })
-        return tid
-
-
-def record_events(records: Iterable[TraceRecord], pid: int,
-                  tids: Optional[_TidAllocator] = None) -> List[dict]:
-    """Trace-event dicts for one engine's records."""
-    tids = tids or _TidAllocator()
-    out: List[dict] = []
-    for r in records:
-        tid = tids.tid(pid, r.component)
-        dur_ps = r.detail.get("dur_ps")
-        if dur_ps:
-            out.append({"ph": "X", "pid": pid, "tid": tid, "name": r.kind,
-                        "ts": _ts_us(r.start_ps), "dur": _ts_us(dur_ps),
-                        "args": _args(r.detail)})
-        else:
-            out.append({"ph": "i", "pid": pid, "tid": tid, "name": r.kind,
-                        "ts": _ts_us(r.time_ps), "s": "t",
-                        "args": _args(r.detail)})
-    out.extend(tids.metadata)
-    return out
-
-
-def segment_events(segments: Sequence[Segment], pid: int,
-                   tid: int = 0) -> List[dict]:
-    """A latency-attribution track: one complete event per segment."""
-    out: List[dict] = [{
-        "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-        "args": {"name": ATTRIBUTION_TRACK},
-    }]
-    for seg in segments:
-        out.append({"ph": "X", "pid": pid, "tid": tid, "name": seg.name,
-                    "ts": _ts_us(seg.start_ps), "dur": _ts_us(seg.dur_ps),
-                    "args": {"component": seg.component,
-                             "dur_ns": seg.dur_ps / 1000.0}})
-    return out
+    Per engine: its process name, the latency-attribution track (tid 0)
+    when it has segments, one event per record, then the thread names
+    of the record components, whose tids count up from 1 in first-seen
+    order.
+    """
+    for pid, (label, records, segments) in enumerate(engines, start=1):
+        yield {"ph": "M", "pid": pid, "tid": 0,
+               "name": "process_name", "args": {"name": label}}
+        if segments:
+            yield {"ph": "M", "pid": pid, "tid": 0, "name": "thread_name",
+                   "args": {"name": ATTRIBUTION_TRACK}}
+            for seg in segments:
+                yield {"ph": "X", "pid": pid, "tid": 0, "name": seg.name,
+                       "ts": _ts_us(seg.start_ps), "dur": _ts_us(seg.dur_ps),
+                       "args": {"component": seg.component,
+                                "dur_ns": seg.dur_ps / 1000.0}}
+        tids: Dict[str, int] = {}
+        for r in records:
+            tid = tids.get(r.component)
+            if tid is None:
+                tid = tids[r.component] = len(tids) + 1
+            dur_ps = r.detail.get("dur_ps")
+            if dur_ps:
+                yield {"ph": "X", "pid": pid, "tid": tid, "name": r.kind,
+                       "ts": _ts_us(r.start_ps), "dur": _ts_us(dur_ps),
+                       "args": _args(r.detail)}
+            else:
+                yield {"ph": "i", "pid": pid, "tid": tid, "name": r.kind,
+                       "ts": _ts_us(r.time_ps), "s": "t",
+                       "args": _args(r.detail)}
+        for component, tid in tids.items():
+            yield {"ph": "M", "pid": pid, "tid": tid,
+                   "name": "thread_name", "args": {"name": component}}
 
 
 def perfetto_trace(engines: Sequence[tuple]) -> Dict[str, Any]:
@@ -95,21 +81,31 @@ def perfetto_trace(engines: Sequence[tuple]) -> Dict[str, Any]:
     one per simulation engine; ``segments`` may be None/empty when no
     latency attribution applies to that engine.
     """
-    events: List[dict] = []
-    for pid, (label, records, segments) in enumerate(engines, start=1):
-        events.append({"ph": "M", "pid": pid, "tid": 0,
-                       "name": "process_name", "args": {"name": label}})
-        tids = _TidAllocator()
-        if segments:
-            events.extend(segment_events(segments, pid, tid=0))
-        events.extend(record_events(records, pid, tids))
-    return {"traceEvents": events, "displayTimeUnit": "ns"}
+    return {"traceEvents": list(_events(engines)), "displayTimeUnit": "ns"}
 
 
 def write_perfetto(path: str, engines: Sequence[tuple]) -> None:
-    """Write the Perfetto-loadable JSON trace to ``path``."""
+    """Write the Perfetto-loadable JSON trace to ``path``.
+
+    The file holds exactly ``json.dumps(perfetto_trace(engines),
+    indent=1)``, but the events are encoded and written a batch at a
+    time, so the export holds one batch in memory, not the whole document.
+    """
+    encode = json.JSONEncoder(indent=1).encode
+    events = _events(engines)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(perfetto_trace(engines), fh, indent=1)
+        fh.write('{\n "traceEvents": [')
+        separator = "\n"
+        while batch := list(itertools.islice(events, _EVENTS_PER_WRITE)):
+            # encode() puts the events one level deep, between "[\n" and
+            # "\n]"; the document nests them two levels deep.  JSON escapes
+            # newlines inside strings, so every newline of the encoding is
+            # a line break to indent.
+            fh.write(separator + " "
+                     + encode(batch)[2:-2].replace("\n", "\n "))
+            separator = ",\n"
+        fh.write("]" if separator == "\n" else "\n ]")
+        fh.write(',\n "displayTimeUnit": "ns"\n}')
 
 
 #: Version tag of the document written by :func:`write_metrics`.

@@ -12,8 +12,6 @@ scheduled, so attaching a registry can never perturb a measurement.
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
@@ -112,50 +110,32 @@ class Gauge(Metric):
 class Histogram(Metric):
     """A distribution of observed values (durations, sizes...).
 
-    By default values are kept verbatim — experiment runs observe at most
-    a few hundred thousand items, and exact percentiles beat bucket error
-    when the point is to *explain* a latency budget.
-
-    Long-running jobs (chaos soaks, hour-scale sweeps) instead pass a
-    ``reservoir`` size: the histogram then keeps a uniform random sample
-    of that many values (Vitter's Algorithm R) in bounded memory.
-    ``count``, ``mean``, ``min`` and ``max`` stay exact; percentiles are
-    estimated from the reservoir.  Sampling uses a private RNG seeded from
-    the metric name, so runs stay deterministic, and draws happen only in
-    bookkeeping — never on the engine — so measurements are unperturbed.
+    Values are kept verbatim — experiment runs observe at most a few
+    hundred thousand items, and exact percentiles beat bucket error when
+    the point is to *explain* a latency budget.
     """
 
-    def __init__(self, name: str, reservoir: Optional[int] = None):
+    def __init__(self, name: str):
         super().__init__(name)
-        if reservoir is not None and reservoir <= 0:
-            raise ValueError(f"histogram {name!r}: reservoir size must be "
-                             f"positive, got {reservoir}")
-        self.reservoir = reservoir
         self.values: List[float] = []
         self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
 
     def observe(self, value: float) -> None:
-        """Record one value (O(1) memory when a reservoir is set)."""
+        """Record one value."""
         self._count += 1
         self._sum += value
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        if self.reservoir is None or len(self.values) < self.reservoir:
-            self.values.append(value)
-        else:
-            slot = self._rng.randrange(self._count)
-            if slot < self.reservoir:
-                self.values[slot] = value
+        self.values.append(value)
 
     @property
     def count(self) -> int:
-        """Exact number of observations (not the reservoir occupancy)."""
+        """Number of observations."""
         return self._count
 
     def mean(self) -> Optional[float]:
@@ -167,9 +147,7 @@ class Histogram(Metric):
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100].
 
-        p=0 and p=100 return the exact observed min/max even when a
-        reservoir is set — the extremes are tracked outside the sample,
-        so they never degrade with sampling.
+        p=0 and p=100 return the observed min and max themselves.
         """
         if not self.values:
             raise ValueError(f"histogram {self.name!r} is empty")
@@ -189,11 +167,7 @@ class Histogram(Metric):
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
     def summary(self) -> Dict[str, Any]:
-        """count/mean/min/p50/p90/p99/max in one dict.
-
-        count/mean/min/max are exact even in reservoir mode; the
-        percentiles come from the (possibly sampled) ``values``.
-        """
+        """count/mean/min/p50/p90/p99/max in one dict."""
         if not self._count:
             return {"count": 0}
         return {
@@ -217,15 +191,10 @@ class MetricsRegistry:
 
     ``clock`` (usually ``lambda: engine.now_ps``) stamps gauge samples so
     call sites never pass time explicitly on the hot path.
-    ``histogram_reservoir`` caps every histogram created through this
-    registry at that many sampled values (bounded memory for long runs);
-    ``None`` keeps the default store-everything behaviour.
     """
 
-    def __init__(self, clock: Optional[Callable[[], int]] = None,
-                 histogram_reservoir: Optional[int] = None):
+    def __init__(self, clock: Optional[Callable[[], int]] = None):
         self._clock = clock
-        self._histogram_reservoir = histogram_reservoir
         self._metrics: Dict[str, Metric] = {}
 
     def _get(self, name: str, cls, **kwargs) -> Metric:
@@ -244,11 +213,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, clock=self._clock)
 
-    def histogram(self, name: str,
-                  reservoir: Optional[int] = None) -> Histogram:
-        if reservoir is None:
-            reservoir = self._histogram_reservoir
-        return self._get(name, Histogram, reservoir=reservoir)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, Histogram)
 
     def names(self) -> Sequence[str]:
         return sorted(self._metrics)

@@ -13,8 +13,8 @@ one sample to
 
 A stack with no ``repro`` frame at all is booked to :data:`OTHER`.
 Nothing in the simulator is hooked: engines dispatch on their production
-path (batch-advance included) and every simulated-time output is
-picosecond-identical to an unprofiled run.
+path and every simulated-time output is picosecond-identical to an
+unprofiled run.
 
 ``ITIMER_PROF`` counts process CPU time, and the kernel delivers it at
 its own tick: a requested 1 ms interval arrived at ~230 Hz on a 2-core

@@ -40,14 +40,10 @@ class Observability:
     """Cross-cutting tracing + metrics for any number of engines."""
 
     def __init__(self, tracing: bool = True, metrics: bool = True,
-                 max_records: Optional[int] = DEFAULT_MAX_RECORDS,
-                 histogram_reservoir: Optional[int] = None):
+                 max_records: Optional[int] = DEFAULT_MAX_RECORDS):
         self.tracing = tracing
         self.metrics = metrics
         self.max_records = max_records
-        #: Bounded-memory mode for long runs: cap every histogram at this
-        #: many sampled values (see :class:`repro.obs.metrics.Histogram`).
-        self.histogram_reservoir = histogram_reservoir
         #: (label, engine, tracer, registry) per attached engine.
         self.attached: List[Tuple[str, Engine, Tracer, MetricsRegistry]] = []
 
@@ -57,9 +53,7 @@ class Observability:
         """Install a fresh tracer/registry pair on ``engine``."""
         label = label or f"engine{len(self.attached)}"
         tracer = Tracer(max_records=self.max_records)
-        registry = MetricsRegistry(
-            clock=lambda e=engine: e.now_ps,
-            histogram_reservoir=self.histogram_reservoir)
+        registry = MetricsRegistry(clock=lambda e=engine: e.now_ps)
         if self.tracing:
             engine.tracer = tracer
         if self.metrics:

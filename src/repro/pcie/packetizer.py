@@ -15,16 +15,11 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from repro.errors import PCIeError
 
 PAGE_BOUNDARY = 4096
 DEFAULT_MPS = 256
 DEFAULT_MRRS = 256
-
-#: Below this many chunks the scalar loop beats the numpy fixed cost.
-_VECTOR_MIN_CHUNKS = 16
 
 Chunk = Tuple[int, int]  # (address, nbytes)
 
@@ -43,40 +38,13 @@ def _split(address: int, nbytes: int, max_chunk: int) -> Iterator[Chunk]:
         offset += take
 
 
-def _split_vectorized(address: int, nbytes: int, max_chunk: int) -> List[Chunk]:
-    """Chunk list for the aligned regular case, built with one arange.
-
-    Applies only when the start address sits on a ``max_chunk`` boundary
-    and ``max_chunk`` divides the 4-KiB page (the layout every DMA chain
-    in the reproduction uses): every chunk except a final straggler is
-    exactly ``max_chunk`` long and none can straddle a page, so the greedy
-    scalar walk degenerates to a fixed stride.  The result is equal,
-    element for element, to ``list(_split(...))``
-    (tests/properties/test_props_packetizer.py holds the two together).
-    """
-    full = nbytes // max_chunk
-    chunks: List[Chunk] = list(zip(
-        (address + np.arange(full, dtype=np.int64) * max_chunk).tolist(),
-        (full * (max_chunk,))))
-    tail = nbytes - full * max_chunk
-    if tail:
-        chunks.append((address + full * max_chunk, tail))
-    return chunks
-
-
 def split_transfer(address: int, nbytes: int,
                    mps: int = DEFAULT_MPS) -> List[Chunk]:
     """Chunk a write transfer into MWr payload pieces."""
-    if (nbytes >= mps * _VECTOR_MIN_CHUNKS and mps > 0
-            and address % mps == 0 and PAGE_BOUNDARY % mps == 0):
-        return _split_vectorized(address, nbytes, mps)
     return list(_split(address, nbytes, mps))
 
 
 def split_read_requests(address: int, nbytes: int,
                         mrrs: int = DEFAULT_MRRS) -> List[Chunk]:
     """Chunk a read transfer into MRd request pieces."""
-    if (nbytes >= mrrs * _VECTOR_MIN_CHUNKS and mrrs > 0
-            and address % mrrs == 0 and PAGE_BOUNDARY % mrrs == 0):
-        return _split_vectorized(address, nbytes, mrrs)
     return list(_split(address, nbytes, mrrs))

@@ -307,19 +307,11 @@ class DMAController:
         inject = chip.inject
         device_id = chip.device_id
         dst = desc.dst
-        # A chunked transfer has at most three distinct chunk sizes (full
-        # MPS payloads plus boundary stragglers), so the per-TLP pacing
-        # collapses to a dict hit after the first chunk of each size.
-        pace_cache: Dict[int, int] = {}
         for addr, size in split_transfer(dst, desc.length,
                                          self.calib.mps_bytes):
             data = internal_read(src_off + (addr - dst), size)
-            pace = pace_cache.get(size)
-            if pace is None:
-                pace = transfer_ps(tlp_wire_bytes(TLPKind.MWR, size),
-                                   rate) + overhead
-                pace_cache[size] = pace
-            yield pace
+            yield transfer_ps(tlp_wire_bytes(TLPKind.MWR, size),
+                              rate) + overhead
             accepted = inject(make_write(addr, data,
                                          requester_id=device_id))
             if not accepted.fired:

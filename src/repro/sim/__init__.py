@@ -6,17 +6,16 @@ picoseconds; events with equal timestamps fire in scheduling order, so a
 simulation is a pure function of its inputs (bit-reproducible runs).
 
 The programming model is a small subset of the SimPy idea: a *process* is a
-Python generator that yields :class:`Delay`, :class:`Signal` or another
-:class:`Process` and is resumed by the :class:`Engine` when the awaited
-thing happens.
+Python generator that yields an ``int`` delay in picoseconds, a
+:class:`Signal` or another :class:`Process` and is resumed by the
+:class:`Engine` when the awaited thing happens.
 """
 
-from repro.sim.core import Delay, Engine, Process, Signal
+from repro.sim.core import Engine, Process, Signal
 from repro.sim.queues import Latch, Resource, Store
 from repro.sim.trace import Tracer
 
 __all__ = [
-    "Delay",
     "Engine",
     "Process",
     "Signal",

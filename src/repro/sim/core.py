@@ -7,7 +7,7 @@ Design notes
   they were scheduled, which keeps runs deterministic.
 * Processes are plain generators.  They may yield:
 
-  - an ``int`` or :class:`Delay` — resume after that many picoseconds,
+  - an ``int`` — resume after that many picoseconds,
   - a :class:`Signal` — resume when it fires (receiving its value),
   - another :class:`Process` — resume when it finishes (receiving its
     return value); exceptions raised by the child are re-raised in the
@@ -29,10 +29,10 @@ experiment byte-for-byte):
 * ``"fast"`` (the default) — the production path: a FIFO ready deque as
   the *now bucket* for :meth:`Engine.call_soon` (the dominant scheduling
   call — every signal fire lands there and never needs heap ordering), the
-  heap only for future timers, one fused dispatch loop shared by
-  :meth:`Engine.run`'s unbounded drain and :meth:`Engine.run_process`,
-  and a batch-advance trampoline in :class:`Process` that keeps a resumed
-  coroutine on the stack whenever its wakeup is provably the next event.
+  heap only for future timers.
+
+Both run one fused dispatch loop shared by :meth:`Engine.run`'s
+unbounded drain and :meth:`Engine.run_process`.
 
 The default comes from the ``TCA_SIM_DISPATCH`` environment variable and
 can be changed per-call-tree with :func:`set_default_dispatch` /
@@ -55,11 +55,6 @@ ProcessGen = Generator[Any, Any, Any]
 
 #: Recognised scheduler implementations (see module docstring).
 DISPATCH_MODES = ("fast", "reference")
-
-#: Sentinel horizon for unbounded runs: far beyond any simulated time the
-#: experiments reach, so the batch-advance clock check is a plain integer
-#: compare instead of a ``None`` test on the hot path.
-_NO_HORIZON = 1 << 200
 
 
 class _Forever:
@@ -107,20 +102,6 @@ def dispatch_mode(mode: str) -> Iterator[None]:
         set_default_dispatch(previous)
 
 
-class Delay:
-    """Yieldable timeout of ``duration_ps`` picoseconds."""
-
-    __slots__ = ("duration_ps",)
-
-    def __init__(self, duration_ps: int):
-        if duration_ps < 0:
-            raise SimulationError(f"negative delay: {duration_ps}")
-        self.duration_ps = int(duration_ps)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Delay({self.duration_ps}ps)"
-
-
 class Signal:
     """A one-shot event that processes can wait on.
 
@@ -154,20 +135,12 @@ class Signal:
                      value: Any = None) -> "Signal":
         """Build a signal that is already fired with ``value``.
 
-        Equivalent to ``Signal(engine, name)`` followed by ``fire(value)``
-        on a signal nobody has waited on yet — which is the common case in
-        the queue primitives (an accepted put, an immediate get, a granted
-        slot).  Constructing it fired skips a call layer per operation on
-        the hottest allocation path in the simulator.
+        Shorthand for ``Signal(engine, name)`` followed by ``fire(value)``,
+        for the queue primitives' operations that complete at once (an
+        accepted put, an immediate get, a granted slot).
         """
-        signal = cls.__new__(cls)
-        signal.engine = engine
-        signal.fired = True
-        signal.cancelled = False
-        signal.value = value
-        signal.name = name
-        signal._waiters = None
-        signal._timer = None
+        signal = cls(engine, name)
+        signal.fire(value)
         return signal
 
     def fire(self, value: Any = None) -> None:
@@ -182,19 +155,9 @@ class Signal:
         waiters = self._waiters
         if waiters is not None:
             self._waiters = None
-            engine = self.engine
-            if engine.fast_dispatch:
-                # Inlined call_soon: identical sequence allocation, one
-                # ready entry per waiter, minus a method call per fire.
-                append = engine._ready.append
-                sequence = engine._sequence
-                for callback in waiters:
-                    append((sequence, callback, (value,)))
-                    sequence += 1
-                engine._sequence = sequence
-            else:
-                for callback in waiters:
-                    engine.call_soon(callback, value)
+            call_soon = self.engine.call_soon
+            for callback in waiters:
+                call_soon(callback, value)
 
     def fire_after(self, delay_ps: int, value: Any = None) -> None:
         """Schedule the signal to fire ``delay_ps`` from now."""
@@ -267,97 +230,41 @@ class Process:
             raise error
 
     def _step(self, send_value: Any, throw: Optional[BaseException] = None) -> None:
-        """Resume the generator; batch-advance while it stays runnable.
-
-        The loop is the fast path's **batch-advance trampoline**.  When
-        the generator yields a delay (or an already-fired signal) and its
-        wakeup is *provably* the next event — ready deque empty, heap head
-        strictly later, horizon not crossed — the scheduler round-trip is
-        skipped and the generator resumed right here, after performing
-        exactly the bookkeeping dispatch would have: one sequence number
-        consumed, the clock advanced to the wakeup time, one event
-        counted.  Because every observable the scheduler maintains
-        (``(time, sequence)`` order, ``events_processed``, ``now_ps`` at
-        each resume) is preserved, a batched run is bit-identical to the
-        reference scheduler by construction.  Batching runs only when
-        :attr:`Engine._batch` is set (see there).
-        """
-        engine = self.engine
-        generator = self.generator
-        send = generator.send
-        while True:
-            try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    yielded = generator.throw(exc)
-                else:
-                    yielded = send(send_value)
-            except StopIteration as stop:
-                self._finish(stop.value, None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-                self._finish(None, exc)
-                return
-            # Exact-class dispatch ordered by hot-path frequency (signals
-            # from queue operations and bare-int delays dominate); the
-            # isinstance chain below keeps the reference semantics for
-            # subclasses and bool.
-            cls = yielded.__class__
-            if cls is Signal:
-                if yielded.fired:
-                    if engine._batch and not engine._ready:
-                        heap = engine._heap
-                        if not heap or heap[0][0] > engine._now_ps:
-                            engine._sequence += 1
-                            engine.events_processed += 1
-                            send_value = yielded.value
-                            continue
-                    engine.call_soon(self._step, yielded.value)
-                    return
-                if yielded.cancelled:
-                    # Reference semantics: add_callback on a cancelled
-                    # signal drops the waiter (the process parks forever
-                    # unless something else resumes the simulation).
-                    return
+        """Resume the generator and wait on what it yields next."""
+        try:
+            if throw is not None:
+                yielded = self.generator.throw(throw)
+            else:
+                yielded = self.generator.send(send_value)
+        except StopIteration as stop:
+            self._finish(stop.value, None)
+            return
+        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            self._finish(None, exc)
+            return
+        # Exact-class dispatch ordered by hot-path frequency: signals
+        # from queue operations and bare-int delays dominate.
+        cls = yielded.__class__
+        if cls is Signal:
+            if yielded.fired:
+                self.engine.call_soon(self._step, yielded.value)
+            elif not yielded.cancelled:
+                # Reference semantics: add_callback on a cancelled signal
+                # drops the waiter (the process parks forever unless
+                # something else resumes the simulation).
                 waiters = yielded._waiters
                 if waiters is None:
                     yielded._waiters = [self._step]
                 else:
                     waiters.append(self._step)
-                return
-            if cls is int or cls is Delay:
-                delay_ps = yielded if cls is int else yielded.duration_ps
-                if delay_ps >= 0 and engine._batch and not engine._ready:
-                    time_ps = engine._now_ps + delay_ps
-                    heap = engine._heap
-                    if ((not heap or heap[0][0] > time_ps)
-                            and time_ps <= engine._horizon):
-                        engine._sequence += 1
-                        engine._now_ps = time_ps
-                        engine.events_processed += 1
-                        send_value = None
-                        continue
-                engine.after(delay_ps, self._step, None)
-                return
-            if cls is Process:
-                self._wait_child(yielded)
-                return
-            if isinstance(yielded, int):
-                engine.after(yielded, self._step, None)
-                return
-            if isinstance(yielded, Signal):
-                yielded.add_callback(self._step)
-                return
-            if isinstance(yielded, Delay):
-                engine.after(yielded.duration_ps, self._step, None)
-                return
-            if isinstance(yielded, Process):
-                self._wait_child(yielded)
-                return
+        elif cls is int:
+            self.engine.after(yielded, self._step, None)
+        elif cls is Process:
+            self._wait_child(yielded)
+        else:
             bad = type(yielded).__name__
-            throw = SimulationError(
-                f"process {self.name!r} yielded unsupported {bad}")
-            send_value = None
+            self._step(None, SimulationError(
+                f"process {self.name!r} yielded unsupported {bad}"))
 
     def _wait_child(self, child: "Process") -> None:
         def resume(result: Any, _child: "Process" = child) -> None:
@@ -431,14 +338,6 @@ class Engine:
         #: left at that point is stale — see :meth:`cancel_event`).
         self._cancelled: Set[int] = set()
         self.events_processed = 0
-        #: Batch-advance gate for the :class:`Process` trampoline: true
-        #: on a fast-dispatch engine.  Kept as one precomputed flag so the
-        #: trampoline check is a single attribute load, and so clearing
-        #: it switches the trampoline off without touching dispatch.
-        self._batch = self.fast_dispatch
-        #: Clock bound for batch-advance; ``run(until_ps=...)`` lowers it
-        #: so a batched delay never carries the clock past the bound.
-        self._horizon = _NO_HORIZON
         #: Optional observability hook (repro.sim.trace.Tracer); hardware
         #: models emit routing/DMA/IRQ events through it when set.
         self.tracer = None
@@ -547,9 +446,7 @@ class Engine:
 
         Picks the lowest ``(time, sequence)`` across the ready deque and
         the heap; cancelled entries are discarded without running, without
-        advancing the clock and without counting.  Note that one ``step``
-        may execute more than one *event* when batch-advance is active —
-        ``events_processed`` is the authoritative event count.
+        advancing the clock and without counting.
         """
         ready = self._ready
         heap = self._heap
@@ -585,30 +482,24 @@ class Engine:
         if until_ps is None:
             self._drain(_UNTIL_DRAINED)
             return self._now_ps
-        # The bound lowers the batch-advance horizon so a batched delay
-        # cannot carry the clock past it.
-        self._horizon = until_ps
-        try:
-            while True:
-                # Discard cancelled heads so the until_ps peek below (and
-                # the drained-queue exit) only ever see live events.
-                ready = self._ready
-                cancelled = self._cancelled
-                while ready and cancelled and ready[0][0] in cancelled:
-                    cancelled.discard(ready.popleft()[0])
-                if not ready:
-                    heap = self._heap
-                    while heap and cancelled and heap[0][1] in cancelled:
-                        cancelled.discard(heapq.heappop(heap)[1])
-                    if not heap or heap[0][0] > until_ps:
-                        break
-                if not self.step():
+        while True:
+            # Discard cancelled heads so the until_ps peek below (and the
+            # drained-queue exit) only ever see live events.
+            ready = self._ready
+            cancelled = self._cancelled
+            while ready and cancelled and ready[0][0] in cancelled:
+                cancelled.discard(ready.popleft()[0])
+            if not ready:
+                heap = self._heap
+                while heap and cancelled and heap[0][1] in cancelled:
+                    cancelled.discard(heapq.heappop(heap)[1])
+                if not heap or heap[0][0] > until_ps:
                     break
-            if self._now_ps < until_ps:
-                self._now_ps = until_ps
-            return self._now_ps
-        finally:
-            self._horizon = _NO_HORIZON
+            if not self.step():
+                break
+        if self._now_ps < until_ps:
+            self._now_ps = until_ps
+        return self._now_ps
 
     def run_process(self, generator: ProcessGen, name: str = "") -> Any:
         """Start a process and run the engine until it completes.

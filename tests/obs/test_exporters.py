@@ -4,7 +4,9 @@ import json
 
 from repro.bench.loopback import LoopbackRig
 from repro.obs import Observability
-from repro.obs.exporters import ATTRIBUTION_TRACK
+from repro.obs.exporters import (_EVENTS_PER_WRITE, ATTRIBUTION_TRACK,
+                                 perfetto_trace, write_perfetto)
+from repro.sim.trace import Tracer
 
 
 def _traced_run():
@@ -158,3 +160,21 @@ def test_trace_out_round_trips_both_clock_domains(tmp_path):
     (span,) = [e for e in wall["traceEvents"] if e["ph"] == "X"]
     assert span["dur"] == 2000 * PS_PER_WALL_NS / 1e6
     assert span["ts"] == 500 * PS_PER_WALL_NS / 1e6
+
+
+def test_streamed_trace_file_equals_the_dumped_document(tmp_path):
+    path = tmp_path / "trace.json"
+    obs, _ = _traced_run()
+    obs.write_trace(str(path))
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        obs.perfetto_trace(), indent=1)
+    # More events than one write batch, an engine that recorded nothing,
+    # and no engines at all.
+    tracer = Tracer(max_records=None)
+    for i in range(2 * _EVENTS_PER_WRITE + 7):
+        tracer.emit(i, f"c{i % 3}", "tick", dur_ps=i % 2, n=i)
+    for engines in ([("busy", tracer.records, None)], [("idle", [], None)],
+                    []):
+        write_perfetto(str(path), engines)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            perfetto_trace(engines), indent=1)

@@ -97,56 +97,6 @@ def test_histogram_empty_and_bounds():
     assert h.percentile(90) == 7
 
 
-def test_histogram_reservoir_bounds_memory():
-    h = Histogram("lat", reservoir=64)
-    for v in range(10_000):
-        h.observe(float(v))
-    assert len(h.values) == 64
-    # count/mean/min/max stay exact regardless of sampling.
-    assert h.count == 10_000
-    assert h.mean() == pytest.approx(4999.5)
-    summary = h.summary()
-    assert summary["count"] == 10_000
-    assert summary["min"] == 0.0
-    assert summary["max"] == 9999.0
-    # Percentiles are estimates from a uniform sample of the stream.
-    assert 0.0 <= summary["p50"] <= 9999.0
-
-
-def test_histogram_reservoir_is_deterministic():
-    def run():
-        h = Histogram("lat", reservoir=16)
-        for v in range(1000):
-            h.observe(float(v))
-        return list(h.values)
-
-    assert run() == run()
-
-
-def test_histogram_reservoir_below_capacity_is_exact():
-    h = Histogram("lat", reservoir=100)
-    for v in [10, 20, 30, 40]:
-        h.observe(v)
-    assert h.percentile(50) == pytest.approx(25.0)
-    assert sorted(h.values) == [10, 20, 30, 40]
-
-
-def test_histogram_reservoir_must_be_positive():
-    with pytest.raises(ValueError):
-        Histogram("lat", reservoir=0)
-
-
-def test_registry_histogram_reservoir_default():
-    reg = MetricsRegistry(histogram_reservoir=8)
-    h = reg.histogram("a")
-    assert h.reservoir == 8
-    # Per-call override beats the registry default.
-    assert reg.histogram("b", reservoir=3).reservoir == 3
-    for v in range(100):
-        h.observe(float(v))
-    assert len(h.values) == 8 and h.count == 100
-
-
 def test_registry_get_or_create_and_type_clash():
     reg = MetricsRegistry()
     assert reg.counter("a") is reg.counter("a")
@@ -166,18 +116,3 @@ def test_registry_to_dict_and_text():
     assert doc["h"]["count"] == 1
     text = reg.render_text(now_ps=100)
     assert "n [counter]" in text and "g [gauge]" in text
-
-
-def test_reservoir_percentile_extremes_are_exact():
-    # min/max are tracked outside the sample, so p0/p100 must be exact
-    # even when the reservoir has evicted the extreme observations.
-    h = Histogram("lat", reservoir=8)
-    for v in range(1000):
-        h.observe(float(v))
-    assert h.percentile(0) == 0.0
-    assert h.percentile(100) == 999.0
-    summary = h.summary()
-    assert summary["min"] == 0.0
-    assert summary["max"] == 999.0
-    # Interior percentiles still come from the (sampled) reservoir.
-    assert 0.0 <= h.percentile(50) <= 999.0

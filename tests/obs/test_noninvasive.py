@@ -75,17 +75,6 @@ def test_armed_empty_fault_plan_pio_is_cycle_exact():
     assert rig.pio_commit_latency_ns() == bare
 
 
-def test_reservoir_histograms_are_cycle_exact():
-    # Bounded-memory sampling draws from a private RNG in pure
-    # bookkeeping; it must not touch the event schedule.
-    bare = _cell("write", "cpu", 256, False)
-    obs = Observability(histogram_reservoir=16)
-    with obs.session():
-        rig = SingleNodeRig()
-    elapsed, _ = rig.measure("write", "cpu", 256, count=32)
-    assert elapsed == bare
-
-
 def test_registry_swap_rebinds_handles_cycle_exact():
     # Components cache per-registry instrument handles; swapping in a
     # fresh registry mid-life must rebind transparently and leave the

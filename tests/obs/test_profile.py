@@ -83,8 +83,6 @@ def test_profiled_run_is_ps_identical():
     with Sampler().session():
         rig = LoopbackRig()
         profiled_ns = rig.pio_commit_latency_ns()
-        # Batch-advance stays on: the sampler hooks nothing in the engine.
-        assert rig.engine._batch == rig.engine.fast_dispatch
     assert profiled_ns == bare_ns
     assert rig.engine.now_ps == bare.engine.now_ps
     assert rig.engine.events_processed == bare.engine.events_processed

@@ -85,9 +85,8 @@ def test_random_schedules_match_reference_dispatch(ops, until_ps):
     """Fast dispatch is observationally identical to the reference heap.
 
     A random mix of timers, call_soon bursts, signal waits and child
-    processes — including bounded ``run(until_ps=...)``, which exercises
-    the trampoline's horizon guard — must yield the same trace, final
-    clock and event count under both dispatch modes.
+    processes, including bounded ``run(until_ps=...)``, must yield the
+    same trace, final clock and event count under both dispatch modes.
     """
     outcomes = {}
     for mode in DISPATCH_MODES:

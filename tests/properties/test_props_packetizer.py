@@ -1,19 +1,15 @@
-"""Property tests holding the packetizer fast paths to the greedy walk.
+"""Property tests of the packetizer split.
 
-``repro.pcie.packetizer`` has two implementations of the same split:
-the greedy scalar generator ``_split`` (the definition) and the
-vectorized ``_split_vectorized`` used for long aligned transfers.  This
-file keeps them equal, chunk for chunk, over random addresses, lengths
-and chunk limits, including the unaligned cases the vectorized path
-must refuse.
+Over random addresses, lengths and chunk limits, aligned or not, the
+chunks ``repro.pcie.packetizer`` returns tile the transfer exactly and
+respect both the chunk limit and the 4-KiB page boundary.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.pcie.packetizer import (PAGE_BOUNDARY, _split, split_read_requests,
-                                   split_transfer)
+from repro.pcie.packetizer import PAGE_BOUNDARY, split_transfer
 
 # Chunk limits that divide the page (the hardware-plausible MPS/MRRS
 # ladder) plus awkward ones that do not.
@@ -24,18 +20,6 @@ _addresses = st.one_of(
 _lengths = st.one_of(st.integers(0, 64), st.integers(0, 10**5),
                      st.sampled_from([0, 256 * 16, 256 * 16 - 1,
                                       256 * 16 + 1, PAGE_BOUNDARY * 3]))
-
-
-@given(_addresses, _lengths, _limits)
-def test_split_transfer_matches_greedy_walk(address, nbytes, mps):
-    assert split_transfer(address, nbytes, mps) == \
-        list(_split(address, nbytes, mps))
-
-
-@given(_addresses, _lengths, _limits)
-def test_split_read_requests_matches_greedy_walk(address, nbytes, mrrs):
-    assert split_read_requests(address, nbytes, mrrs) == \
-        list(_split(address, nbytes, mrrs))
 
 
 @given(_addresses, _lengths, _limits)

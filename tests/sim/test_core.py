@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Delay, Engine, Signal
+from repro.sim.core import Engine, Signal
 from repro.units import ns
 
 
@@ -112,14 +112,6 @@ class TestProcess:
             return engine.now_ps
 
         assert engine.run_process(proc()) == ns(7)
-
-    def test_yield_delay_object(self, engine):
-        def proc():
-            yield Delay(ns(2))
-            yield Delay(ns(3))
-            return engine.now_ps
-
-        assert engine.run_process(proc()) == ns(5)
 
     def test_child_process_result_propagates(self, engine):
         def child():

@@ -4,9 +4,8 @@ The engine ships two dispatch implementations (see ``repro.sim.core``):
 
 * ``"reference"`` — a pure ``(time, sequence)`` heap, simple enough to
   audit by eye.  It is the semantic oracle.
-* ``"fast"`` — the production path: ready-deque now-bucket, fused run
-  loops, and the batch-advance trampoline that lets steady-state DMA
-  streams skip per-event dispatch.
+* ``"fast"`` — the production path: the ready-deque now-bucket for
+  ``call_soon``.
 
 The optimizations are only admissible because they are *observably
 identical*: every suite entry (the full E1-E23 registry) must produce
@@ -80,3 +79,4 @@ class TestEngineLevelEquivalence:
         with dispatch_mode("reference"):
             assert Engine().dispatch == "reference"
         assert Engine().dispatch == before
+
