@@ -558,7 +558,7 @@ def collective_dual_ring(sizes: Sequence[int] = (1 * KiB, 4 * KiB,
                                     node_params=NodeParams(num_gpus=1))
             coll = TCACollectives(cluster)
             start = cluster.engine.now_ps
-            _, crit = trace_collective(cluster.engine,
+            _, crit = trace_collective(coll,
                                        lambda: coll.allreduce(vectors))
             table.add(label, nbytes,
                       (cluster.engine.now_ps - start) / 1e6)
@@ -607,7 +607,7 @@ def collective_torus(node_counts: Sequence[int] = (16, 64),
                                     **kwargs)
             coll = TCACollectives(cluster)
             start = cluster.engine.now_ps
-            _, crit = trace_collective(cluster.engine,
+            _, crit = trace_collective(coll,
                                        lambda: coll.allreduce(vectors))
             table.add(label, n, (cluster.engine.now_ps - start) / 1e6)
             table.add(f"{label} steps", n, float(crit.step_count))

@@ -13,7 +13,9 @@ same for the harness that runs it.  Every suite entry becomes a
 and the pieces around it keep a run alive through the failures the
 APEnet+ line of work treats as the norm at cluster scale:
 
-* :class:`JobScheduler` — a worker **supervisor**: fork workers pull
+* :class:`JobScheduler` — the one job runner.  With one worker it runs
+  the jobs in the calling process; with more it is a worker
+  **supervisor**: fork workers pull
   jobs one at a time over pipes and report heartbeats, job starts and
   completions on a **per-worker** result pipe — no channel is shared
   between workers, so a worker SIGKILLed mid-send can tear only its own
@@ -21,7 +23,9 @@ APEnet+ line of work treats as the norm at cluster scale:
   dies holding its write lock).  A worker that dies (SIGKILL, OOM) is
   reaped and its in-flight job is requeued on the survivors; a job that
   overruns its **deadline** gets its worker killed and is retried with
-  an escalated deadline after a seeded-jitter exponential backoff.
+  an escalated deadline.  Either way a job that raises is retried after
+  a seeded-jitter exponential backoff, and every job transition is one
+  ``job`` journal record.
   Payloads travel through atomically-written spill files, never through
   the pipe, so killing a worker can never tear a payload.
 * :class:`Journal` — a crash-safe run journal: append-only JSONL
@@ -30,8 +34,8 @@ APEnet+ line of work treats as the norm at cluster scale:
   replays it to re-execute only unfinished entries.
 * :class:`JobService` — the in-process, fault-hardened front-end the
   serving layer sits on: submissions deduplicated by content key, hot
-  keys answered from the hardened cache, cold ones queued for
-  supervised execution.
+  keys answered from the hardened cache, cold ones held for the
+  serving layer to run on a :class:`JobScheduler`.
 
 Determinism is preserved by construction: a job's payload depends only
 on ``(entry, mode, seed)`` — per-entry seeds are derived, never shared —
@@ -137,8 +141,8 @@ def default_deadline_s(cost_s: float) -> float:
 
 @dataclass
 class Job:
-    """One suite entry or sweep point moving through the supervised
-    state machine."""
+    """One suite entry, served job or sweep point moving through the
+    job state machine."""
 
     name: str
     eid: str
@@ -359,18 +363,14 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
 
     threading.Thread(target=heartbeat, daemon=True).start()
 
-    def offset() -> Optional[int]:
-        if origin_ns is None:
-            return None
-        return time.perf_counter_ns() - origin_ns
-
     try:
         while True:
             task = conn.recv()
             if task is None:
                 break
             slot, name, mode, seed, attempt, hang_s = task
-            send(("start", wid, slot, attempt, os.getpid(), offset()))
+            send(("start", wid, slot, attempt, os.getpid(),
+                  _offset_ns(origin_ns)))
             if hang_s > 0:
                 time.sleep(hang_s)  # chaos: a hung experiment
             try:
@@ -380,11 +380,18 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
                       f"{type(exc).__name__}: {exc}"))
                 continue
             atomic_write_text(_spill_path(spill_dir, slot, attempt), payload)
-            send(("done", wid, slot, attempt, wall, offset()))
+            send(("done", wid, slot, attempt, wall, _offset_ns(origin_ns)))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # supervisor gone or shutting down: exit quietly
     finally:
         stop.set()
+
+
+def _offset_ns(origin_ns: Optional[int]) -> Optional[int]:
+    """Nanoseconds since the runlog's origin (None when there is none)."""
+    if origin_ns is None:
+        return None
+    return time.perf_counter_ns() - origin_ns
 
 
 def _spill_path(spill_dir, slot: int, attempt: int) -> Path:
@@ -428,7 +435,7 @@ class _WorkerHandle:
 
 @dataclass
 class SchedulerOutcome:
-    """Everything one supervised pool run produced."""
+    """Everything one scheduler run produced."""
 
     jobs: List[Job]
     worker_walls: List[Dict[str, Any]] = field(default_factory=list)
@@ -446,29 +453,35 @@ COUNTER_NAMES = ("retries", "requeues", "deadline_kills", "workers_lost",
                  "workers_spawned", "heartbeat_kills", "spill_recoveries",
                  "stale_messages", "heartbeats")
 
-#: Supervisor events that also land in the journal (job state records
-#: go through their own ``t="job"`` lines).
-_JOURNALED_EVENTS = frozenset({"worker-spawn", "worker-kill",
-                               "worker-lost", "deadline-kill",
-                               "heartbeat-kill", "interrupt"})
-
-
 class JobScheduler:
-    """Supervise a pool of fork workers over a set of :class:`Job`\\ s.
+    """Run a set of :class:`Job`\\ s to completion: the one job runner.
 
-    The one fork pool of the package: it runs the suite's cold entries
-    (``tca-bench suite --shards N``) and the points of the Fig. 7/9
-    sweeps (``tca-bench fig7 --engine-workers N``).  Eligible pending
-    jobs are kept in LPT order (largest cost hint first, then name) and
-    handed to whichever worker is idle, so when a worker dies the
-    remainder is re-shared across the survivors automatically — the LPT
-    re-shard of what is left.  A fresh worker is spawned only when the
-    pool would otherwise be empty.
+    It runs the suite's cold entries (``tca-bench suite --shards N``),
+    the serving layer's cold jobs and the points of the Fig. 7/9 sweeps
+    (``tca-bench fig7 --engine-workers N``).  Eligible pending jobs are
+    kept in LPT order (largest cost hint first, then name).
+
+    * ``workers=1`` runs the jobs one at a time in the calling process,
+      as worker 0.  A job that raises is retried after its seeded
+      backoff.  There is no deadline, because there is no process to
+      kill, and ``hang_s`` is not injected.
+    * More workers start a supervised fork pool of
+      ``min(workers, len(jobs))`` processes.  Each pending job goes to
+      whichever worker is idle, so when a worker dies the remainder is
+      re-shared across the survivors automatically — the LPT re-shard
+      of what is left.  A fresh worker is spawned only when the pool
+      would otherwise be empty.
+
+    Every job transition is reported once, by :meth:`_journal_job`: a
+    ``job`` journal record, the same fields without ``payload_json`` as
+    a ``jobs`` runlog instant, and the record plus the job's ``key`` to
+    ``on_event("job", ...)``.  Supervisor events (``worker-spawn``,
+    ``worker-kill``, ``worker-lost``, ``deadline-kill``,
+    ``heartbeat-kill``, ``interrupt``) go to all three unchanged.
 
     Tasks, worker messages and spill files name a job by its position
     in ``jobs``, so jobs may share an entry name (one entry submitted
-    in two modes); every ``on_event`` info naming a job also carries
-    its ``key``.
+    in two modes).
     """
 
     def __init__(self, jobs: Sequence[Job],
@@ -497,31 +510,34 @@ class JobScheduler:
             else "spawn")
         self._spill_dir: Optional[Path] = None
         self._retired: List[_WorkerHandle] = []
+        self._origin_ns = None if runlog is None else runlog.origin_ns
 
     # -- event plumbing --------------------------------------------------
 
     def _emit(self, kind: str, **info: Any) -> None:
-        if self.journal is not None and kind in _JOURNALED_EVENTS:
+        if self.journal is not None:
             self.journal.record(kind, **info)
+        if self.runlog is not None:
+            self.runlog.event("jobs", kind, **info)
         if self.on_event is not None:
             self.on_event(kind, info)
 
     def _journal_job(self, job: Job, **extra: Any) -> None:
-        if self.journal is None:
-            return
-        info = {"name": job.name, "state": job.state,
-                "attempt": job.attempt, "requeues": job.requeues,
-                "worker": job.worker, **extra}
+        record = {"name": job.name, "state": job.state,
+                  "attempt": job.attempt, "requeues": job.requeues,
+                  "worker": job.worker, **extra}
         if job.state == DONE:
-            info["payload_json"] = job.payload_json
-            info["wall_s"] = round(job.wall_s, 4)
+            record["payload_json"] = job.payload_json
+            record["wall_s"] = round(job.wall_s, 4)
         if job.error:
-            info["error"] = job.error
-        self.journal.record("job", **info)
-
-    def _log_instant(self, kind: str, **detail: Any) -> None:
+            record["error"] = job.error
+        if self.journal is not None:
+            self.journal.record("job", **record)
         if self.runlog is not None:
-            self.runlog.event("jobs", kind, **detail)
+            self.runlog.event("jobs", "job", **{
+                k: v for k, v in record.items() if k != "payload_json"})
+        if self.on_event is not None:
+            self.on_event("job", {**record, "key": job.key})
 
     # -- pool management -------------------------------------------------
 
@@ -530,14 +546,13 @@ class JobScheduler:
         self._next_wid += 1
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         res_recv, res_send = self._ctx.Pipe(duplex=False)
-        origin_ns = None if self.runlog is None else self.runlog.origin_ns
         supervisor_ends = [send_conn, res_recv]
         for other in self._pool.values():
             supervisor_ends += [other.conn, other.results]
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, recv_conn, res_send, self.runner,
-                  str(self._spill_dir), origin_ns, self.heartbeat_s,
+                  str(self._spill_dir), self._origin_ns, self.heartbeat_s,
                   supervisor_ends),
             daemon=True)
         proc.start()
@@ -548,7 +563,6 @@ class JobScheduler:
         self._pool[wid] = handle
         self.counters["workers_spawned"] += 1
         self._emit("worker-spawn", worker=wid, pid=proc.pid)
-        self._log_instant("worker-spawn", worker=wid)
         return handle
 
     def _retire(self, handle: _WorkerHandle) -> None:
@@ -593,6 +607,22 @@ class JobScheduler:
                  if j.state == PENDING and j.not_before <= now]
         return sorted(ready, key=lambda j: (-j.cost_s, j.name))
 
+    def _take(self, handle: _WorkerHandle, job: Job, now: float) -> None:
+        """Mark ``job`` running on ``handle``'s worker."""
+        job.transition(RUNNING)
+        job.worker = handle.index
+        job.assigned_at = now
+        handle.job = job
+        if handle.first_busy is None:
+            handle.first_busy = now
+
+    def _started(self, handle: _WorkerHandle, job: Job,
+                 off_ns: Optional[int], **extra: Any) -> None:
+        job.start_off_ns = off_ns
+        if off_ns is not None and handle.first_start_off_ns is None:
+            handle.first_start_off_ns = off_ns
+        self._journal_job(job, **extra)
+
     def _assign(self, now: float) -> None:
         idle = [h for h in self._pool.values()
                 if h.job is None and h.alive]
@@ -607,12 +637,7 @@ class JobScheduler:
                                   job.seed, job.attempt, hang))
             except (OSError, BrokenPipeError):
                 continue  # liveness check will reap it
-            job.transition(RUNNING)
-            job.worker = handle.index
-            job.assigned_at = now
-            handle.job = job
-            if handle.first_busy is None:
-                handle.first_busy = now
+            self._take(handle, job, now)
 
     def _requeue(self, job: Job, why: str, burn_attempt: bool) -> None:
         """Put a running job back in the queue (or fail it for good)."""
@@ -633,8 +658,6 @@ class JobScheduler:
             job.error = f"{why}; budget exhausted ({budget})"
             job.transition(FAILED)
             self._journal_job(job, reason=why)
-            self._log_instant("job-failed", entry=job.name, reason=why)
-            self._emit("job-failed", name=job.name, key=job.key, reason=why)
             return
         delay = backoff_delay(job.seed, job.name,
                               job.attempt if burn_attempt else job.requeues)
@@ -643,8 +666,12 @@ class JobScheduler:
             job.deadline_s *= 2.0  # escalate: a slow entry gets room
         job.transition(PENDING)
         self._journal_job(job, reason=why, backoff_s=round(delay, 4))
-        self._log_instant("job-requeue", entry=job.name, reason=why,
-                          backoff_ms=round(delay * 1000, 1))
+
+    def _raised(self, handle: _WorkerHandle, job: Job, error: str) -> None:
+        """The attempt raised: retry after the backoff, or fail."""
+        job.error = error
+        handle.job = None
+        self._requeue(job, f"attempt raised: {error}", burn_attempt=True)
 
     def _recover_from_spill(self, job: Job) -> bool:
         """A dead worker may have finished the job before dying: the
@@ -673,10 +700,43 @@ class JobScheduler:
                                  start_off_ns * 1000,
                                  int(wall_s * 1e12), entry=job.name,
                                  attempt=job.attempt)
-        self._emit("job-done", name=job.name, key=job.key,
-                   worker=job.worker, attempt=job.attempt)
 
-    # -- supervisor loop -------------------------------------------------
+    def _completed(self, handle: _WorkerHandle, job: Job, payload: str,
+                   wall_s: float, off_ns: Optional[int]) -> None:
+        """The attempt returned ``payload``: the job is done."""
+        if off_ns is not None:
+            handle.last_done_off_ns = off_ns
+        handle.job = None
+        self._finish(job, payload, wall_s, job.start_off_ns)
+        handle.entries.append(job.name)
+        handle.last_done = time.monotonic()
+
+    # -- in-process run (workers=1) --------------------------------------
+
+    def _run_here(self) -> None:
+        """Run every job in this process, as worker 0, in LPT order."""
+        here = _WorkerHandle(index=0, process=None, conn=None)
+        self._retired.append(here)
+        while self._unfinished():
+            now = time.monotonic()
+            ready = self._eligible(now)
+            if not ready:
+                # Every job left is backing off: wait out the nearest.
+                time.sleep(min(j.not_before for j in self._unfinished())
+                           - now)
+                continue
+            job = ready[0]
+            self._take(here, job, now)
+            self._started(here, job, _offset_ns(self._origin_ns))
+            try:
+                payload, wall = self.runner(job.name, job.mode, job.seed)
+            except Exception as exc:
+                self._raised(here, job, f"{type(exc).__name__}: {exc}")
+                continue
+            self._completed(here, job, payload, wall,
+                            _offset_ns(self._origin_ns))
+
+    # -- supervisor loop (workers > 1) -----------------------------------
 
     def _handle_message(self, msg: Tuple) -> None:
         kind, wid = msg[0], msg[1]
@@ -694,39 +754,19 @@ class JobScheduler:
             self.counters["stale_messages"] += 1
             return
         if kind == "start":
-            pid, off_ns = msg[4], msg[5]
-            job.start_off_ns = off_ns
-            if off_ns is not None and handle.first_start_off_ns is None:
-                handle.first_start_off_ns = off_ns
-            self._journal_job(job, pid=pid)
-            self._log_instant("job-start", entry=job.name, worker=wid,
-                              attempt=attempt)
-            self._emit("job-start", name=job.name, key=job.key, worker=wid,
-                       pid=pid, attempt=attempt)
+            self._started(handle, job, msg[5], pid=msg[4])
         elif kind == "done":
-            wall, done_off_ns = msg[4], msg[5]
-            if done_off_ns is not None:
-                handle.last_done_off_ns = done_off_ns
             try:
                 payload = _spill_path(self._spill_dir, slot,
                                       attempt).read_text(encoding="utf-8")
             except OSError:
                 # Spill vanished (should not happen): treat as a crash.
-                self._requeue(job, "spill file missing", burn_attempt=True)
                 handle.job = None
+                self._requeue(job, "spill file missing", burn_attempt=True)
                 return
-            self._finish(job, payload, wall, job.start_off_ns)
-            handle.entries.append(job.name)
-            handle.last_done = time.monotonic()
-            handle.job = None
+            self._completed(handle, job, payload, msg[4], msg[5])
         elif kind == "error":
-            error = msg[4]
-            job.error = error
-            self._requeue(job, f"attempt raised: {error}",
-                          burn_attempt=True)
-            self._log_instant("job-error", entry=job.name, error=error)
-            self._emit("job-error", name=job.name, key=job.key, error=error)
-            handle.job = None
+            self._raised(handle, job, msg[4])
 
     def _check_deadlines(self, now: float) -> None:
         for handle in list(self._pool.values()):
@@ -736,9 +776,6 @@ class JobScheduler:
             if now - job.assigned_at <= job.deadline_s:
                 continue
             self.counters["deadline_kills"] += 1
-            self._log_instant("deadline-kill", entry=job.name,
-                              worker=handle.index,
-                              deadline_s=job.deadline_s)
             self._emit("deadline-kill", name=job.name, key=job.key,
                        worker=handle.index, deadline_s=job.deadline_s)
             handle.job = None
@@ -761,8 +798,6 @@ class JobScheduler:
                     self.counters["heartbeat_kills"] += 1
                     self._emit("heartbeat-kill", worker=handle.index,
                                name=job.name, key=job.key)
-                    self._log_instant("heartbeat-kill",
-                                      worker=handle.index, entry=job.name)
                     self._kill_worker(handle,
                                       f"heartbeat lost: {job.name}")
                     self._requeue(job, "worker heartbeat lost",
@@ -773,8 +808,6 @@ class JobScheduler:
             handle.job = None
             self._retire(handle)
             self.counters["workers_lost"] += 1
-            self._log_instant("worker-lost", worker=handle.index,
-                              exitcode=handle.process.exitcode)
             self._emit("worker-lost", worker=handle.index,
                        exitcode=handle.process.exitcode,
                        name=job.name if job else None,
@@ -819,28 +852,34 @@ class JobScheduler:
     def _unfinished(self) -> List[Job]:
         return [j for j in self.jobs if not j.finished]
 
+    def _run_pool(self) -> None:
+        """Supervise ``min(workers, len(jobs))`` fork workers."""
+        self._spill_dir = Path(tempfile.mkdtemp(prefix="tca-bench-jobs-"))
+        for _ in range(min(self.workers, len(self.jobs))):
+            self._spawn_worker()
+        while self._unfinished():
+            now = time.monotonic()
+            if not self._pool:
+                # Pool drained (deaths/kills): LPT re-shard of the
+                # remainder needs at least one survivor.
+                self._spawn_worker()
+            self._assign(now)
+            self._drain_results()
+            now = time.monotonic()
+            self._check_deadlines(now)
+            self._check_liveness(now)
+        self._shutdown()
+
     def run(self) -> SchedulerOutcome:
-        """Drive the pool until every job is DONE/FAILED (or interrupt)."""
+        """Run every job to DONE/FAILED (or until interrupted)."""
         outcome = SchedulerOutcome(jobs=self.jobs, counters=self.counters)
         if not self.jobs:
             return outcome
-        self._spill_dir = Path(tempfile.mkdtemp(prefix="tca-bench-jobs-"))
-        target = min(self.workers, len(self.jobs))
         try:
-            for _ in range(target):
-                self._spawn_worker()
-            while self._unfinished():
-                now = time.monotonic()
-                if not self._pool:
-                    # Pool drained (deaths/kills): LPT re-shard of the
-                    # remainder needs at least one survivor.
-                    self._spawn_worker()
-                self._assign(now)
-                self._drain_results()
-                now = time.monotonic()
-                self._check_deadlines(now)
-                self._check_liveness(now)
-            self._shutdown()
+            if self.workers == 1:
+                self._run_here()
+            else:
+                self._run_pool()
         except KeyboardInterrupt:
             outcome.interrupted = True
             self._emit("interrupt",
@@ -877,60 +916,6 @@ class JobScheduler:
                 self.runlog.metrics.counter(f"suite.jobs.{name}").inc(value)
 
 
-def run_job_inline(job: Job,
-                   runner: Callable[[str, str, int], Tuple[str, float]],
-                   journal: Optional[Journal] = None,
-                   on_event: Optional[Callable] = None,
-                   sleep: Callable[[float], None] = time.sleep) -> Job:
-    """Single-process execution of one job with the same retry contract.
-
-    Used by the one-shard suite path and the :class:`JobService` when no
-    worker pool is wanted.  Deadlines cannot be enforced without a
-    supervisor process, so only the exception-retry half of the state
-    machine applies here.  Each ``on_event`` info carries the job's
-    ``key``, as the scheduler's do.
-    """
-    def emit(t: str, **info: Any) -> None:
-        if journal is not None:
-            journal.record(t, **info)
-        if on_event is not None:
-            on_event(t, {**info, "key": job.key})
-
-    while not job.finished:
-        job.transition(RUNNING)
-        emit("job", name=job.name, state=RUNNING, attempt=job.attempt,
-             requeues=job.requeues, worker=None)
-        try:
-            payload, wall = runner(job.name, job.mode, job.seed)
-        except KeyboardInterrupt:
-            job.transition(PENDING)
-            raise
-        except Exception as exc:
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.attempt += 1
-            if job.attempt >= job.max_attempts:
-                job.transition(FAILED)
-                emit("job", name=job.name, state=FAILED,
-                     attempt=job.attempt, requeues=job.requeues,
-                     worker=None, error=job.error)
-                return job
-            delay = backoff_delay(job.seed, job.name, job.attempt)
-            job.transition(PENDING)
-            emit("job", name=job.name, state=PENDING,
-                 attempt=job.attempt, requeues=job.requeues, worker=None,
-                 reason=job.error, backoff_s=round(delay, 4))
-            sleep(delay)
-            continue
-        job.payload_json = payload
-        job.wall_s = wall
-        job.error = None
-        job.transition(DONE)
-        emit("job", name=job.name, state=DONE, attempt=job.attempt,
-             requeues=job.requeues, worker=None, payload_json=payload,
-             wall_s=round(wall, 4))
-    return job
-
-
 # -- the in-process job service front-end ---------------------------------------------
 
 class JobService:
@@ -941,8 +926,10 @@ class JobService:
     same key the result cache uses — so identical submissions collapse
     onto one job and a key whose result is already cached is DONE
     immediately, served from the hardened store in microseconds.  Cold
-    keys queue until :meth:`run_pending` drives them through the
-    supervised scheduler (or the inline runner for ``workers=1``).
+    jobs stay PENDING until the serving layer's executor
+    (:class:`repro.serve.bridge.ServeBridge`) runs them on a
+    :class:`JobScheduler` with :attr:`workers` workers and hands each
+    finished one back to :meth:`store_result`.
 
     Every failure mode below the service — worker death, deadline
     overrun, corrupt cache entry — is absorbed by the layers this
@@ -951,14 +938,12 @@ class JobService:
 
     **Thread safety.**  The bookkeeping methods — :meth:`submit`,
     :meth:`status`, :meth:`result`, :meth:`result_text`, :meth:`jobs`,
-    :meth:`counts` — are safe to call from any thread: an internal lock
-    serializes mutations of the job table, so the HTTP serving layer
-    (:mod:`repro.serve`) can submit from its event-loop thread while an
-    executor thread drives :meth:`run_pending` (or runs individual jobs
-    via :func:`run_job_inline`).  A job's *state* may still advance
-    between a ``status`` call and the next — snapshots are consistent,
-    not frozen.  :meth:`run_pending` itself holds the lock only while
-    selecting pending jobs and writing back results, never while an
+    :meth:`counts`, :meth:`store_result` — are safe to call from any
+    thread: an internal lock serializes mutations of the job table, so
+    the HTTP serving layer (:mod:`repro.serve`) can submit from its
+    event-loop thread while an executor thread runs the jobs.  A job's
+    *state* may still advance between a ``status`` call and the next —
+    snapshots are consistent, not frozen.  No lock is held while an
     experiment runs.
     """
 
@@ -1069,7 +1054,7 @@ class JobService:
                 counts[self._jobs[key].state] += 1
         return counts
 
-    # -- execution -------------------------------------------------------
+    # -- results ---------------------------------------------------------
 
     def store_result(self, job: Job) -> None:
         """Write one DONE job's payload back to the result cache."""
@@ -1077,28 +1062,6 @@ class JobService:
             with self._lock:
                 self.cache.put(job.key, job.name, job.payload_json,
                                meta={"mode": job.mode, "seed": job.seed})
-
-    def run_pending(self, on_event: Optional[Callable] = None
-                    ) -> Dict[str, int]:
-        """Execute every queued job; returns state counts when done."""
-        with self._lock:
-            pending = [self._jobs[k] for k in self._order
-                       if self._jobs[k].state == PENDING]
-        if pending:
-            runner = _registry_runner
-            if self.workers > 1:
-                scheduler = JobScheduler(pending, runner,
-                                         workers=self.workers,
-                                         journal=self.journal,
-                                         on_event=on_event)
-                scheduler.run()
-            else:
-                for job in pending:
-                    run_job_inline(job, runner, journal=self.journal,
-                                   on_event=on_event)
-            for job in pending:
-                self.store_result(job)
-        return self.counts()
 
 
 def _registry_runner(name: str, mode: str, seed: int) -> Tuple[str, float]:

@@ -8,9 +8,11 @@ caches every result in a content-addressed store
 the single source of truth for "does this repo still reproduce the
 paper":
 
-* **Sharding** — entries are pulled by ``--shards N`` worker
-  processes (longest-processing-time first, by each entry's cost hint),
-  each worker seeding ``random``/``numpy`` deterministically per entry.
+* **Sharding** — cold entries run as jobs on one
+  :class:`~repro.bench.jobs.JobScheduler`: in this process for
+  ``--shards 1``, pulled by ``--shards N`` fork workers otherwise, in
+  either case longest-processing-time first by each entry's cost hint,
+  with ``random``/``numpy`` seeded deterministically per entry.
 * **Caching** — the cache key covers the entry name, its exact
   parameters, the calibration fingerprint, the hash of every ``repro``
   source file, and the suite seed; a warm run returns byte-identical
@@ -20,9 +22,10 @@ paper":
   hit/miss, and per-shard wall clock; ``--render-md`` regenerates the
   tables inside EXPERIMENTS.md from the same payloads, so the spec
   document and the simulator cannot drift.
-* **Crash tolerance** — every entry runs as a supervised
-  :class:`~repro.bench.jobs.Job`: per-entry deadlines, seeded retry
-  backoff, dead-worker requeue, and an append-only run journal
+* **Crash tolerance** — every entry runs as a
+  :class:`~repro.bench.jobs.Job`: seeded retry backoff (plus per-entry
+  deadlines and dead-worker requeue on a pool), and an append-only run
+  journal
   (``tca-bench-journal/1``) that ``--resume RUN_ID`` replays to
   re-execute only unfinished entries, byte-identically.  Corrupted
   cache entries are quarantined and transparently re-run.  The
@@ -47,7 +50,7 @@ from repro.bench.cache import (ResultCache, cache_key, canonical_json,
 from repro.bench.experiments import EXPERIMENT_IDS, REGISTRY
 from repro.bench.jobs import (DEFAULT_MAX_ATTEMPTS, DONE, FAILED, Job,
                               JobScheduler, Journal, default_deadline_s,
-                              new_run_id, run_job_inline)
+                              new_run_id)
 from repro.errors import ConfigError
 from repro.model.anchors import ANCHORS, AnchorCheck, calibration_fingerprint
 from repro.units import pretty_size
@@ -269,8 +272,8 @@ def _resume_state(journal_dir: Path, run_id: str):
 def _make_jobs(cold: Sequence[str], keys: Dict[str, str], mode: str,
                seed: int, max_attempts: int,
                chaos: Optional[Dict[str, Dict[str, float]]]) -> List[Job]:
-    """Cold entries as supervised jobs in LPT order: largest cost hint
-    first, then name — the order :class:`JobScheduler` hands them out."""
+    """Cold entries as jobs in LPT order: largest cost hint first, then
+    name — the order :class:`JobScheduler` hands them out."""
     chaos = chaos or {}
     deadline_over = chaos.get("deadline_s", {})
     hang = chaos.get("hang_s", {})
@@ -310,17 +313,19 @@ def run_suite(names: Optional[Sequence[str]] = None, shards: int = 1,
     the journal's source/calibration fingerprints must match the
     working tree's.
 
-    ``shards > 1`` runs cold entries on a supervised fork-worker pool
-    (:class:`~repro.bench.jobs.JobScheduler`): per-entry deadlines,
-    seeded retry backoff, dead-worker requeue.  SIGINT/SIGTERM produce
-    a partial report flagged ``interrupted`` instead of a traceback.
+    Cold entries run on one :class:`~repro.bench.jobs.JobScheduler`
+    with ``shards`` workers: ``shards=1`` runs them in this process,
+    more run them on a supervised fork pool (per-entry deadlines,
+    dead-worker requeue).  Either way a raising entry is retried after
+    a seeded backoff, and SIGINT/SIGTERM produce a partial report
+    flagged ``interrupted`` instead of a traceback.
 
     ``chaos`` is the fault-injection side door used by
     :mod:`repro.faults.harness_chaos`:
     ``{"hang_s": {entry: s}, "deadline_s": {entry: s}}`` force an
     entry's first attempt to hang and/or tighten its deadline.
-    ``on_event`` observes every supervisor event (the harness uses it
-    to SIGKILL workers mid-run).
+    ``on_event`` observes every job record and supervisor event (the
+    harness uses it to SIGKILL workers mid-run).
 
     ``runlog`` (a :class:`repro.obs.runlog.RunLog`) turns on wall-clock
     run telemetry: per-shard worker timelines and per-entry spans land
@@ -430,52 +435,12 @@ def run_suite(names: Optional[Sequence[str]] = None, shards: int = 1,
     try:
         if cold:
             jobs = _make_jobs(cold, keys, mode, seed, max_attempts, chaos)
-            if shards > 1:
-                if runlog is not None:
-                    runlog.event("suite", "fork",
-                                 shards=min(shards, len(jobs)))
-                scheduler = JobScheduler(jobs, run_entry, workers=shards,
-                                         journal=journal, runlog=runlog,
-                                         on_event=on_event)
-                outcome = scheduler.run()
-                counters = dict(outcome.counters)
-                report.shard_walls = outcome.worker_walls
-                report.interrupted = outcome.interrupted
-            else:
-                shard_start = time.perf_counter()
-                shard_start_ps = (None if runlog is None
-                                  else runlog.now_ps())
-                ran: List[str] = []
-                try:
-                    for job in jobs:
-                        entry_ps = (None if runlog is None
-                                    else runlog.now_ps())
-                        run_job_inline(job, run_entry, journal=journal,
-                                       on_event=on_event)
-                        job.worker = 0
-                        ran.append(job.name)
-                        counters["retries"] = (counters.get("retries", 0)
-                                               + job.attempt)
-                        if runlog is not None and entry_ps is not None:
-                            runlog.add_span(
-                                "shard0", "entry", entry_ps,
-                                int(job.wall_s * 1e12), entry=job.name)
-                except KeyboardInterrupt:
-                    report.interrupted = True
-                    if journal is not None:
-                        journal.record(
-                            "interrupt",
-                            unfinished=[j.name for j in jobs
-                                        if not j.finished])
-                report.shard_walls.append({
-                    "shard": 0, "entries": ran,
-                    "wall_s": round(time.perf_counter() - shard_start, 4),
-                })
-                if runlog is not None and shard_start_ps is not None:
-                    runlog.add_span("shard0", "shard", shard_start_ps,
-                                    runlog.now_ps() - shard_start_ps,
-                                    entries=len(ran))
-
+            outcome = JobScheduler(jobs, run_entry, workers=shards,
+                                   journal=journal, runlog=runlog,
+                                   on_event=on_event).run()
+            counters = outcome.counters
+            report.shard_walls = outcome.worker_walls
+            report.interrupted = outcome.interrupted
             for job in jobs:
                 if job.state == DONE:
                     results[job.name] = EntryResult(

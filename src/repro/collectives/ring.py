@@ -118,6 +118,18 @@ class TCACollectives:
         self._flag_barrier = 2 * steps + 2
         return self._flag_barrier + (n - 1).bit_length()
 
+    def decode_flag(self, flag: int) -> Tuple[str, int]:
+        """(phase, step) of one of this context's flags, per its plan."""
+        if flag < self._flag_ag:
+            return "reduce-scatter", flag - self._flag_rs
+        if flag < self._flag_x:
+            return "allgather", flag - self._flag_ag
+        if flag == self._flag_x:
+            return "exchange", 0
+        if flag == self._flag_bcast:
+            return "broadcast", 0
+        return "barrier", flag - self._flag_barrier
+
     def _wait(self, node: int, flag: int):
         """Process: wait for the next notification on a local flag."""
         key = (node, flag)

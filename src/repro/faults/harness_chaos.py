@@ -173,7 +173,8 @@ def scenario_worker_kill(clean: Dict[str, Optional[str]], mode: str,
     killed: List[int] = []
 
     def on_event(kind: str, info: Dict[str, object]) -> None:
-        if kind == "job-start" and not killed and info.get("pid"):
+        # A fork worker's ``running`` job record carries its pid.
+        if kind == "job" and not killed and info.get("pid"):
             pid = int(info["pid"])
             killed.append(pid)
             os.kill(pid, signal.SIGKILL)
@@ -183,7 +184,7 @@ def scenario_worker_kill(clean: Dict[str, Optional[str]], mode: str,
     result.robustness = report.robustness
     result.expect("worker-killed", bool(killed),
                   f"SIGKILLed worker pid {killed[0]}" if killed
-                  else "no job-start event carried a pid")
+                  else "no running job record carried a pid")
     lost = report.robustness.get("workers_lost", 0)
     result.expect("supervisor-reaped", lost >= 1,
                   f"workers_lost={lost}")

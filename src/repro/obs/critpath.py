@@ -17,7 +17,10 @@ allreduce must show N-1 steps against the flat ring's 2(N-1)
 
 Use :func:`trace_collective` to run a collective under a private
 recorder; it forwards to any tracer already installed, so it composes
-with ``--trace-out`` / :class:`~repro.obs.session.Observability`.
+with ``--trace-out`` / :class:`~repro.obs.session.Observability`.  It
+names each step with the flag plan of the
+:class:`~repro.collectives.ring.TCACollectives` context that ran it,
+whose banks stretch past 16 nodes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.collectives.ring import (FLAG_AG, FLAG_BARRIER, FLAG_BCAST,
-                                    FLAG_RS, FLAG_X)
 from repro.sim.trace import TraceRecord, Tracer
 
 #: Trace kinds the analyzer consumes (emitted by repro.collectives.ring).
@@ -36,21 +37,6 @@ WAIT_KIND = "coll-wait"
 
 #: The three components a step's critical receive decomposes into.
 COMPONENTS = ("queue", "wire", "flag-stall")
-
-
-def decode_flag(flag: int) -> Tuple[str, int]:
-    """Map a flag index to its (phase, step) per the ring.py flag plan."""
-    if FLAG_RS <= flag < FLAG_AG:
-        return "reduce-scatter", flag - FLAG_RS
-    if FLAG_AG <= flag < FLAG_X:
-        return "allgather", flag - FLAG_AG
-    if flag == FLAG_X:
-        return "exchange", 0
-    if flag == FLAG_BCAST:
-        return "broadcast", 0
-    if flag >= FLAG_BARRIER:
-        return "barrier", flag - FLAG_BARRIER
-    return "flag", flag
 
 
 def _node_of(component: str) -> int:
@@ -154,8 +140,14 @@ class CritPathReport:
         return "\n".join(lines)
 
 
-def analyze(records: Iterable[TraceRecord]) -> CritPathReport:
+def analyze(records: Iterable[TraceRecord],
+            decode_flag: Callable[[int], Tuple[str, int]]
+            ) -> CritPathReport:
     """Rebuild the per-step dependency chain from collective records.
+
+    ``decode_flag`` maps a flag index to its (phase, step): the
+    :meth:`~repro.collectives.ring.TCACollectives.decode_flag` of the
+    context that emitted the records.
 
     Both rings of a dual-ring schedule reuse the same step flags
     concurrently, so grouping by flag naturally merges them into one
@@ -232,10 +224,12 @@ def record_collective(engine):
         engine.tracer = recorder.chain
 
 
-def trace_collective(engine, fn: Callable[[], Any]
+def trace_collective(coll, fn: Callable[[], Any]
                      ) -> Tuple[Any, CritPathReport]:
-    """Run ``fn()`` (which drives one collective on ``engine``) under a
-    private recorder; returns ``(fn's result, critical-path report)``."""
-    with record_collective(engine) as recorder:
+    """Run ``fn()`` (which drives one collective of the
+    :class:`~repro.collectives.ring.TCACollectives` context ``coll``)
+    under a private recorder; returns ``(fn's result, critical-path
+    report)``, its steps named by ``coll``'s flag plan."""
+    with record_collective(coll.engine) as recorder:
         result = fn()
-    return result, analyze(recorder.records)
+    return result, analyze(recorder.records, coll.decode_flag)

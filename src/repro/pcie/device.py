@@ -129,7 +129,7 @@ class TagPool:
         entry = self._pending.get(tlp.tag)
         if entry is None:
             raise PCIeError(f"{self.name}: completion for unknown tag {tlp.tag}")
-        done, buf, expected, serial = entry
+        done, buf, expected, _ = entry
         buf.extend(tlp.payload.tobytes())
         if len(buf) > expected:
             raise PCIeError(

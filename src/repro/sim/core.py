@@ -246,17 +246,7 @@ class Process:
         # from queue operations and bare-int delays dominate.
         cls = yielded.__class__
         if cls is Signal:
-            if yielded.fired:
-                self.engine.call_soon(self._step, yielded.value)
-            elif not yielded.cancelled:
-                # Reference semantics: add_callback on a cancelled signal
-                # drops the waiter (the process parks forever unless
-                # something else resumes the simulation).
-                waiters = yielded._waiters
-                if waiters is None:
-                    yielded._waiters = [self._step]
-                else:
-                    waiters.append(self._step)
+            yielded.add_callback(self._step)
         elif cls is int:
             self.engine.after(yielded, self._step, None)
         elif cls is Process:

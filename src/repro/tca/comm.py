@@ -73,6 +73,9 @@ class TCAComm:
         """
         cuda = self.cluster.cuda[node_id]
         node = self.cluster.node(node_id)
+        if ptr.gpu not in node.gpus:
+            raise ConfigError(
+                f"{ptr.gpu.name} is not a GPU of node {node_id}")
         gpu_index = node.gpus.index(ptr.gpu)
         token = cuda.cu_pointer_get_attribute(
             CU_POINTER_ATTRIBUTE_P2P_TOKENS, ptr)
@@ -236,11 +239,11 @@ class TCAComm:
 
         "a function similar to cudaMemcpyPeer should be available for the
         target node ID in addition to the GPU IDs" — this is it.  Both
-        allocations are pinned for RDMA on the fly.
+        allocations are pinned for RDMA on the fly; a pointer whose GPU is
+        not on the node named for it raises :class:`ConfigError`.
         """
         src_ptr.check_span(nbytes)
         dst_ptr.check_span(nbytes)
-        src_gpu_index = self.cluster.node(src_node).gpus.index(src_ptr.gpu)
         self.register_gpu_memory(src_node, src_ptr)
         dst_global = self.register_gpu_memory(dst_node, dst_ptr)
         src_local = src_ptr.gpu.offset_to_bar(src_ptr.offset)

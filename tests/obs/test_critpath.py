@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro.collectives import TCACollectives
-from repro.collectives.ring import (FLAG_AG, FLAG_BARRIER, FLAG_RS,
-                                    ring_barrier)
+from repro.collectives.ring import FLAG_AG, FLAG_BARRIER, FLAG_RS
 from repro.hw.node import NodeParams
 from repro.obs.critpath import (COMPONENTS, CollectiveRecorder, analyze,
-                                decode_flag, record_collective,
-                                trace_collective)
+                                record_collective, trace_collective)
 from repro.sim.trace import Tracer
 from repro.tca.subcluster import DUAL_RING, TCASubCluster
 
@@ -31,16 +29,25 @@ def allreduce_report(n, topology="ring", words=256):
     cluster = make_cluster(n, topology)
     coll = TCACollectives(cluster)
     results, report = trace_collective(
-        cluster.engine, lambda: coll.allreduce(vectors(n, words)))
+        coll, lambda: coll.allreduce(vectors(n, words)))
     return results, report
 
 
 class TestDecodeFlag:
     def test_phases(self):
+        decode_flag = TCACollectives(make_cluster(4)).decode_flag
         assert decode_flag(FLAG_RS) == ("reduce-scatter", 0)
         assert decode_flag(FLAG_RS + 3) == ("reduce-scatter", 3)
         assert decode_flag(FLAG_AG) == ("allgather", 0)
         assert decode_flag(FLAG_BARRIER + 1) == ("barrier", 1)
+
+    def test_banks_stretch_past_16_nodes(self):
+        # 20 nodes: banks rs=0, ag=19, x=38; the <=16-node plan would
+        # read flag 16 (reduce-scatter step 16) as allgather step 0.
+        _, report = allreduce_report(20, words=20 * 16)
+        phases = [(s.phase, s.step) for s in report.steps]
+        assert phases == ([("reduce-scatter", i) for i in range(19)]
+                          + [("allgather", i) for i in range(19)])
 
 
 class TestScheduleLength:
@@ -84,9 +91,8 @@ class TestScheduleLength:
             assert np.array_equal(a, b)
 
     def test_barrier_rounds_are_pure_stall(self):
-        cluster = make_cluster(4)
-        _, report = trace_collective(
-            cluster.engine, lambda: ring_barrier(cluster))
+        coll = TCACollectives(make_cluster(4))
+        _, report = trace_collective(coll, coll.barrier)
         assert report.step_count >= 1
         for step in report.steps:
             assert step.phase == "barrier"
@@ -114,7 +120,7 @@ class TestReportShape:
         assert "serialized steps" in text
 
     def test_empty_analysis(self):
-        report = analyze([])
+        report = analyze([], TCACollectives(make_cluster(2)).decode_flag)
         assert report.step_count == 0
         assert report.total_ps == 0
 

@@ -10,12 +10,14 @@ cold path fast.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.jobs import DONE
 from repro.bench.suite import run_entry
+from repro.serve import bridge as bridge_module
 from repro.serve.loadtest import _Client
 from repro.serve.server import build_server
 
@@ -187,16 +189,28 @@ def test_error_statuses(tmp_path):
     serve(body, cache_dir=str(tmp_path))
 
 
-def test_result_of_unfinished_job_is_409(tmp_path):
+def test_result_of_unfinished_job_is_409(tmp_path, monkeypatch):
+    # Hold the job in the executor until the 409 has been checked.
+    real_runner = bridge_module._registry_runner
+    release = threading.Event()
+
+    def held_runner(name, mode, seed):
+        release.wait(60)
+        return real_runner(name, mode, seed)
+
+    monkeypatch.setattr(bridge_module, "_registry_runner", held_runner)
+
     async def body(server, client):
-        # fig9/smoke takes ~1s; the result request lands while pending.
-        _, raw = await client.request(
-            "POST", "/v1/jobs", {"entry": "fig9", "mode": "smoke"})
-        key = json.loads(raw)["fingerprint"]
-        status, raw = await client.request(
-            "GET", f"/v1/jobs/{key}/result")
-        assert status == 409
-        await server.bridge.wait_done(key, timeout_s=120)
+        try:
+            _, raw = await client.request(
+                "POST", "/v1/jobs", {"entry": "theory", "mode": "tiny"})
+            key = json.loads(raw)["fingerprint"]
+            status, raw = await client.request(
+                "GET", f"/v1/jobs/{key}/result")
+            assert status == 409
+        finally:
+            release.set()
+        await server.bridge.wait_done(key, timeout_s=60)
         status, _ = await client.request("GET", f"/v1/jobs/{key}/result")
         assert status == 200
 

@@ -128,6 +128,14 @@ class TestDMA:
         engine.run_process(comm4.tca_memcpy_peer(3, dst, 0, src, 16384))
         assert np.array_equal(cluster4.cuda[3].download(dst, 16384), data)
 
+    def test_memcpy_peer_rejects_a_gpu_of_another_node(self, comm4,
+                                                        cluster4):
+        src = cluster4.cuda[1].cu_mem_alloc(0, 4096)  # node 1's GPU 0
+        dst = cluster4.cuda[3].cu_mem_alloc(1, 4096)
+        with pytest.raises(ConfigError, match="not a GPU of node 0"):
+            cluster4.engine.run_process(
+                comm4.tca_memcpy_peer(3, dst, 0, src, 4096))
+
     def test_unpinned_gpu_destination_rejected(self, comm4, cluster4):
         """Writing to a GPU block whose pages were never pinned must fail
         like real GPUDirect."""
