@@ -336,7 +336,7 @@ class JobServer:
                              f"event: {event['t']}\r\n"
                              f"data: {data}\r\n\r\n".encode())
             await writer.drain()
-            if self.service.get_job(key).finished and not fresh:
+            if self.bridge.finished(key) and not fresh:
                 break
         job = self.service.get_job(key)
         final = json.dumps({"state": job.state, "key": key},
