@@ -32,10 +32,10 @@ APEnet+ line of work treats as the norm at cluster scale:
   (schema ``tca-bench-journal/1``), one fsync per record, with a reader
   that tolerates a torn final line.  ``tca-bench suite --resume RUN``
   replays it to re-execute only unfinished entries.
-* :class:`JobService` — the in-process, fault-hardened front-end the
-  serving layer sits on: submissions deduplicated by content key, hot
-  keys answered from the hardened cache, cold ones held for the
-  serving layer to run on a :class:`JobScheduler`.
+
+The suite, the Fig. 7/9 sweeps and the serving layer
+(:class:`repro.serve.bridge.ServeBridge`, which keeps its own table of
+served jobs) all run their jobs on these pieces.
 
 Determinism is preserved by construction: a job's payload depends only
 on ``(entry, mode, seed)`` — per-entry seeds are derived, never shared —
@@ -914,158 +914,3 @@ class JobScheduler:
         for name, value in self.counters.items():
             if value:
                 self.runlog.metrics.counter(f"suite.jobs.{name}").inc(value)
-
-
-# -- the in-process job service front-end ---------------------------------------------
-
-class JobService:
-    """Fault-hardened, deduplicating front-end over the suite machinery.
-
-    The substrate the serving layer (ROADMAP item 3) sits on: callers
-    :meth:`submit` experiment jobs and get back a **content key** — the
-    same key the result cache uses — so identical submissions collapse
-    onto one job and a key whose result is already cached is DONE
-    immediately, served from the hardened store in microseconds.  Cold
-    jobs stay PENDING until the serving layer's executor
-    (:class:`repro.serve.bridge.ServeBridge`) runs them on a
-    :class:`JobScheduler` with :attr:`workers` workers and hands each
-    finished one back to :meth:`store_result`.
-
-    Every failure mode below the service — worker death, deadline
-    overrun, corrupt cache entry — is absorbed by the layers this
-    module provides; a submitted job can end only DONE or FAILED, never
-    take the service down.
-
-    **Thread safety.**  The bookkeeping methods — :meth:`submit`,
-    :meth:`status`, :meth:`result`, :meth:`result_text`, :meth:`jobs`,
-    :meth:`counts`, :meth:`store_result` — are safe to call from any
-    thread: an internal lock serializes mutations of the job table, so
-    the HTTP serving layer (:mod:`repro.serve`) can submit from its
-    event-loop thread while an executor thread runs the jobs.  A job's
-    *state* may still advance between a ``status`` call and the next —
-    snapshots are consistent, not frozen.  No lock is held while an
-    experiment runs.
-    """
-
-    def __init__(self, cache=None, workers: int = 1, seed: int = 0,
-                 journal: Optional[Journal] = None,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        from repro.bench.cache import sources_fingerprint
-        from repro.model.anchors import calibration_fingerprint
-
-        self.cache = cache
-        self.workers = max(1, workers)
-        self.seed = seed
-        self.journal = journal
-        self.max_attempts = max_attempts
-        self._calib_fp = calibration_fingerprint()
-        self._sources_fp = sources_fingerprint()
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
-        self._lock = threading.RLock()
-
-    # -- submission ------------------------------------------------------
-
-    def submit(self, entry: str, mode: str = "full",
-               seed: Optional[int] = None) -> str:
-        """Queue one experiment; returns its job id (the content key).
-
-        Safe to call from any thread; identical submissions from racing
-        threads collapse onto one job.
-        """
-        from repro.bench.cache import cache_key
-        from repro.bench.experiments import REGISTRY
-
-        if entry not in REGISTRY:
-            raise ConfigError(f"unknown registry entry {entry!r}")
-        spec = REGISTRY[entry]
-        seed = self.seed if seed is None else seed
-        key = cache_key(entry, spec.params_for(mode), self._calib_fp,
-                        self._sources_fp, seed)
-        with self._lock:
-            if key in self._jobs:
-                return key  # deduplicated: same submission, same job
-            job = Job(name=entry, eid=spec.eid, key=key, mode=mode,
-                      seed=seed, cost_s=spec.cost_s,
-                      deadline_s=default_deadline_s(spec.cost_s),
-                      max_attempts=self.max_attempts)
-            if self.cache is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    job.payload_json = hit
-                    job.transition(DONE)
-            self._jobs[key] = job
-            self._order.append(key)
-        if self.journal is not None:
-            self.journal.record("submit", name=entry, key=key, mode=mode,
-                                seed=seed, state=job.state)
-        return key
-
-    # -- lookup ----------------------------------------------------------
-
-    def _job(self, job_id: str) -> Job:
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise ConfigError(f"unknown job id {job_id!r}")
-        return job
-
-    def get_job(self, job_id: str) -> Job:
-        """The live :class:`Job` for one id (the serving layer's view)."""
-        return self._job(job_id)
-
-    def __contains__(self, job_id: str) -> bool:
-        with self._lock:
-            return job_id in self._jobs
-
-    def status(self, job_id: str) -> Dict[str, Any]:
-        """The job's current state-machine snapshot."""
-        return self._job(job_id).to_dict()
-
-    def result(self, job_id: str) -> Any:
-        """The decoded payload of a DONE job; errors otherwise."""
-        return json.loads(self.result_text(job_id))
-
-    def result_text(self, job_id: str) -> str:
-        """The *canonical payload text* of a DONE job, verbatim.
-
-        This is the byte-identity contract the serving layer depends
-        on: the text returned here is exactly what the suite/cache
-        stored, so two clients asking for the same fingerprint receive
-        byte-identical documents.
-        """
-        job = self._job(job_id)
-        if job.state != DONE:
-            raise ConfigError(
-                f"job {job_id[:12]} is {job.state}, not done"
-                + (f" ({job.error})" if job.error else ""))
-        return job.payload_json
-
-    def jobs(self) -> List[Dict[str, Any]]:
-        """Every known job, in submission order."""
-        with self._lock:
-            return [self._jobs[k].to_dict() for k in self._order]
-
-    def counts(self) -> Dict[str, int]:
-        """How many known jobs sit in each state right now."""
-        counts: Dict[str, int] = {state: 0 for state in JOB_STATES}
-        with self._lock:
-            for key in self._order:
-                counts[self._jobs[key].state] += 1
-        return counts
-
-    # -- results ---------------------------------------------------------
-
-    def store_result(self, job: Job) -> None:
-        """Write one DONE job's payload back to the result cache."""
-        if self.cache is not None and job.state == DONE:
-            with self._lock:
-                self.cache.put(job.key, job.name, job.payload_json,
-                               meta={"mode": job.mode, "seed": job.seed})
-
-
-def _registry_runner(name: str, mode: str, seed: int) -> Tuple[str, float]:
-    """Module-level (hence spawn-picklable) bridge to the suite runner."""
-    from repro.bench.suite import run_entry
-
-    return run_entry(name, mode, seed)

@@ -70,14 +70,12 @@ class TCACollectives:
     concurrently is not supported (their flag regions alias).
     """
 
-    def __init__(self, cluster: TCASubCluster,
-                 pio_threshold: int = PIO_THRESHOLD):
+    def __init__(self, cluster: TCASubCluster):
         self.cluster = cluster
         self.engine = cluster.engine
         self.comm = TCAComm(cluster)
         num_flags = self._plan_flags(cluster.num_nodes)
         self.flags = FlagPool(cluster, self.comm, num_flags=num_flags)
-        self.pio_threshold = pio_threshold
         self.schedulers = [ChannelScheduler(cluster, node_id)
                            for node_id in range(cluster.num_nodes)]
         #: Bytes of each DMA buffer available for payload + staging.
@@ -162,7 +160,7 @@ class TCACollectives:
         dst_global = self.comm.host_global(
             dst_node, self.cluster.driver(dst_node).dma_buffer(dst_offset))
         start_ps = self.engine.now_ps
-        if nbytes <= self.pio_threshold:
+        if nbytes <= PIO_THRESHOLD:
             payload = driver.read_dma_buffer(src_offset, nbytes)
             elapsed = yield self.engine.process(
                 self.comm.put_pio_timed(src_node, dst_global, payload),

@@ -13,15 +13,15 @@ The package splits into:
 * :mod:`repro.faults.harness_chaos` — process-level chaos against the
   *suite harness itself* (SIGKILLed workers, hung entries, corrupted
   cache files, mid-run kills + resume), asserting byte-identical
-  output.
+  output.  It runs the suite, so this package does not import it:
+  ``python -m repro.faults.harness_chaos`` then loads it once, and
+  ``import repro.faults`` stays clear of :mod:`repro.bench`.
 
 See ``docs/robustness.md`` for the fault model and the recovery state
 machine.
 """
 
 from repro.faults.chaos import ChaosReport, run_chaos
-from repro.faults.harness_chaos import (HarnessChaosReport,
-                                        run_harness_chaos)
 from repro.faults.injector import (FaultInjector, VERDICT_CORRUPT,
                                    VERDICT_DROP, VERDICT_OK)
 from repro.faults.plan import (DescriptorFetchError, Fault, FaultPlan,
@@ -37,7 +37,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSession",
-    "HarnessChaosReport",
     "LinkFlap",
     "LostInterrupt",
     "PRESETS",
@@ -49,5 +48,4 @@ __all__ = [
     "VERDICT_DROP",
     "VERDICT_OK",
     "run_chaos",
-    "run_harness_chaos",
 ]

@@ -54,6 +54,11 @@ from repro.errors import ConfigError
 SCENARIOS = ("worker-kill", "deadline-hang", "cache-corruption",
              "kill-resume")
 
+#: Pool size of the disturbed runs.  The worker-kill and deadline-hang
+#: scenarios need a fork pool: one worker runs the suite in-process,
+#: with no worker pid to kill and no deadline to fire.
+WORKERS = 2
+
 
 @dataclass
 class Check:
@@ -101,7 +106,6 @@ class HarnessChaosReport:
 
     mode: str
     seed: int
-    workers: int
     results: List[ScenarioResult] = field(default_factory=list)
     wall_s: float = 0.0
 
@@ -114,7 +118,7 @@ class HarnessChaosReport:
             "schema": "tca-harness-chaos/1",
             "mode": self.mode,
             "seed": self.seed,
-            "workers": self.workers,
+            "workers": WORKERS,
             "ok": self.ok,
             "wall_s": round(self.wall_s, 3),
             "scenarios": [r.to_dict() for r in self.results],
@@ -122,7 +126,7 @@ class HarnessChaosReport:
 
     def render(self) -> str:
         lines = [f"harness chaos  mode={self.mode} seed={self.seed} "
-                 f"workers={self.workers}"]
+                 f"workers={WORKERS}"]
         for result in self.results:
             verdict = "pass" if result.ok else "FAIL"
             lines.append(f"  {result.scenario}: {verdict} "
@@ -166,7 +170,7 @@ def _anchors_green(result: ScenarioResult, report, mode: str) -> None:
 
 
 def scenario_worker_kill(clean: Dict[str, Optional[str]], mode: str,
-                         seed: int, workers: int,
+                         seed: int,
                          log: Callable[[str], None]) -> ScenarioResult:
     """SIGKILL the first worker to start a job; the run must survive."""
     result = ScenarioResult(scenario="worker-kill")
@@ -179,7 +183,7 @@ def scenario_worker_kill(clean: Dict[str, Optional[str]], mode: str,
             killed.append(pid)
             os.kill(pid, signal.SIGKILL)
 
-    report = run_suite(mode=mode, cache=None, shards=workers, seed=seed,
+    report = run_suite(mode=mode, cache=None, shards=WORKERS, seed=seed,
                        on_event=on_event)
     result.robustness = report.robustness
     result.expect("worker-killed", bool(killed),
@@ -196,13 +200,13 @@ def scenario_worker_kill(clean: Dict[str, Optional[str]], mode: str,
 
 
 def scenario_deadline_hang(clean: Dict[str, Optional[str]], mode: str,
-                           seed: int, workers: int,
+                           seed: int,
                            log: Callable[[str], None]) -> ScenarioResult:
     """Hang one entry past a tiny injected deadline; retry must land."""
     result = ScenarioResult(scenario="deadline-hang")
     victim = "theory"  # cheap, present in every mode
     chaos = {"hang_s": {victim: 30.0}, "deadline_s": {victim: 0.5}}
-    report = run_suite(mode=mode, cache=None, shards=workers, seed=seed,
+    report = run_suite(mode=mode, cache=None, shards=WORKERS, seed=seed,
                        chaos=chaos)
     result.robustness = report.robustness
     kills = report.robustness.get("deadline_kills", 0)
@@ -218,7 +222,7 @@ def scenario_deadline_hang(clean: Dict[str, Optional[str]], mode: str,
 
 
 def scenario_cache_corruption(clean: Dict[str, Optional[str]], mode: str,
-                              seed: int, workers: int,
+                              seed: int,
                               log: Callable[[str], None]
                               ) -> ScenarioResult:
     """Damage two cache entries; the next run quarantines and re-runs."""
@@ -260,7 +264,7 @@ def scenario_cache_corruption(clean: Dict[str, Optional[str]], mode: str,
 
 
 def scenario_kill_resume(clean: Dict[str, Optional[str]], mode: str,
-                         seed: int, workers: int,
+                         seed: int,
                          log: Callable[[str], None]) -> ScenarioResult:
     """SIGKILL a whole journalled run mid-way; resume must complete it."""
     result = ScenarioResult(scenario="kill-resume")
@@ -274,7 +278,7 @@ def scenario_kill_resume(clean: Dict[str, Optional[str]], mode: str,
             "PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.bench.cli", "suite",
-             *mode_flag, "--no-cache", "--shards", str(workers),
+             *mode_flag, "--no-cache", "--shards", str(WORKERS),
              "--seed", str(seed), "--journal-dir", str(jdir)],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
@@ -326,7 +330,6 @@ _SCENARIO_FNS: Dict[str, Callable] = {
 
 
 def run_harness_chaos(mode: str = "smoke", seed: int = 0,
-                      workers: int = 2,
                       scenarios: Optional[Sequence[str]] = None,
                       log: Optional[Callable[[str], None]] = None
                       ) -> HarnessChaosReport:
@@ -339,7 +342,7 @@ def run_harness_chaos(mode: str = "smoke", seed: int = 0,
         raise ConfigError(
             f"unknown chaos scenarios: {', '.join(unknown)} "
             f"(known: {', '.join(SCENARIOS)})")
-    report = HarnessChaosReport(mode=mode, seed=seed, workers=workers)
+    report = HarnessChaosReport(mode=mode, seed=seed)
     start = time.perf_counter()
     log(f"clean baseline run (mode={mode}) ...")
     baseline = run_suite(mode=mode, cache=None, shards=1, seed=seed)
@@ -351,7 +354,7 @@ def run_harness_chaos(mode: str = "smoke", seed: int = 0,
     for name in scenarios:
         log(f"scenario {name} ...")
         t0 = time.perf_counter()
-        result = _SCENARIO_FNS[name](clean, mode, seed, workers, log)
+        result = _SCENARIO_FNS[name](clean, mode, seed, log)
         result.wall_s = time.perf_counter() - t0
         report.results.append(result)
         log(f"scenario {name}: {'pass' if result.ok else 'FAIL'}")
@@ -369,8 +372,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default="smoke",
                         help="suite mode for every run (default smoke)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="pool size for the disturbed runs")
     parser.add_argument("--scenario", action="append", default=None,
                         metavar="NAME", choices=SCENARIOS,
                         help="run only this scenario (repeatable)")
@@ -380,8 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         report = run_harness_chaos(
-            mode=args.mode, seed=args.seed, workers=args.workers,
-            scenarios=args.scenario,
+            mode=args.mode, seed=args.seed, scenarios=args.scenario,
             log=lambda msg: print(msg, file=sys.stderr))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

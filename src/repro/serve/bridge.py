@@ -1,28 +1,34 @@
-"""The async/sync bridge between the HTTP server and the job machinery.
+"""The serving layer's job table and its async/sync bridge.
 
-:class:`ServeBridge` owns the boundary between two worlds:
+:class:`ServeBridge` owns the one table of served jobs.  A job id is
+the content key the result cache uses, so identical submits collapse
+onto one job, and a key whose result is already cached is done the
+moment it is submitted.  The bridge also owns the boundary between two
+worlds:
 
 * the **asyncio event-loop thread**, where every HTTP request is
-  parsed and answered.  Handlers call :meth:`submit` (thread-safe by
-  the :class:`~repro.bench.jobs.JobService` contract) and park on
-  :meth:`wait_done` / :meth:`wait_event` without blocking the loop;
+  parsed and answered.  Handlers call :meth:`submit` and the readers
+  (:meth:`job`, :meth:`jobs`, :meth:`counts`, :meth:`result_text`) and
+  park on :meth:`wait_done` / :meth:`wait_event` without blocking the
+  loop;
 
 * a single **executor thread**, which pulls every cold job key queued
   so far off a queue and runs the batch on one
   :class:`~repro.bench.jobs.JobScheduler` — in the executor thread for
   ``workers=1``, on a supervised fork pool for more.
 
-The two meet only through thread-safe primitives: the service's own
-lock, a ``queue.SimpleQueue`` of cold keys, and
-``loop.call_soon_threadsafe`` wakeups.  Results never cross the
-boundary as mutable state — when the scheduler reports a job ``done``
-or ``failed``, the executor pushes its payload into the result cache,
-books the metrics, and *then* wakes the waiters, which re-read the job
-through the service.  The scheduler marks the job finished a moment
-before it reports it, so waiters ask :meth:`ServeBridge.finished`, which
-holds only once the job is booked, and never ``job.finished``.  The
-job's SSE frames are the scheduler's ``job`` records, as the journal
-holds them.
+The two meet only through thread-safe primitives: the table's lock,
+held for dictionary reads and writes and never across a cache read or
+write, a ``queue.SimpleQueue`` of cold keys, and
+``loop.call_soon_threadsafe`` wakeups.  The scheduler runs on copies
+of the table's jobs, and the table holds each job as its last ``job``
+record left it.  A ``done`` or ``failed`` record is *booked* before it
+is stored: the payload is pushed into the result cache and the metrics
+are counted, and only then does the table's job turn finished and its
+waiters wake.  So a reader that sees a job finished also sees its
+result cached and counted, and the table job's ``state`` is all any
+reader asks.  The job's SSE frames are the scheduler's ``job`` records,
+as the journal holds them.
 
 Every interesting instant is counted on a :class:`repro.obs.runlog.RunLog`
 registry (queue depth, cache-hit latency, worker saturation, compute
@@ -33,12 +39,18 @@ telemetry the suite runner exports.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import queue
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.bench.jobs import (DONE, FAILED, Job, JobScheduler, JobService,
-                              _registry_runner)
+from repro.bench.cache import ResultCache, cache_key, sources_fingerprint
+from repro.bench.experiments import REGISTRY
+from repro.bench.jobs import (DONE, JOB_STATES, Job, JobScheduler, Journal,
+                              default_deadline_s)
+from repro.bench.suite import run_entry
+from repro.errors import ConfigError
+from repro.model.anchors import calibration_fingerprint
 from repro.obs.runlog import RunLog
 
 #: Executor shutdown sentinel (queue items are otherwise job keys).
@@ -50,28 +62,29 @@ _WAIT_SLICE_S = 0.5
 
 
 class ServeBridge:
-    """Bridge a :class:`JobService` into an asyncio event loop."""
+    """The table of served jobs, bridged into an asyncio event loop."""
 
-    def __init__(self, service: JobService,
-                 runlog: Optional[RunLog] = None,
-                 loop: Optional[asyncio.AbstractEventLoop] = None):
-        self.service = service
-        self.runlog = runlog or RunLog(label="serve")
-        self._loop = loop
+    def __init__(self, cache: ResultCache, workers: int = 1, seed: int = 0,
+                 journal: Optional[Journal] = None):
+        self.cache = cache
+        self.workers = max(1, workers)
+        self.seed = seed
+        self.journal = journal
+        self.runlog = RunLog(label="serve")
+        self._calib_fp = calibration_fingerprint()
+        self._sources_fp = sources_fingerprint()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        #: keys this bridge has ever accepted (created, not deduped)
-        self._seen: set = set()
+        #: content key -> the job as its last ``job`` record left it (a
+        #: finished one only once booked), in submission order; only
+        #: the executor thread replaces a cold key's job
+        self._jobs: Dict[str, Job] = {}
         #: per-key progress events for the SSE stream, oldest first
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         #: per-key single-use wakeup events (event-chain pattern)
         self._wakeups: Dict[str, asyncio.Event] = {}
-        #: cold keys enqueued but not yet booked
-        self._outstanding = 0
-        #: keys whose job is finished with its result cached and
-        #: counted (cache hits from the moment they are submitted)
-        self._booked: set = set()
         self._drain_event: Optional[asyncio.Event] = None
         self.draining = False
 
@@ -90,13 +103,9 @@ class ServeBridge:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self, loop: Optional[asyncio.AbstractEventLoop] = None
-              ) -> None:
-        """Bind the loop and start the executor thread."""
-        if loop is not None:
-            self._loop = loop
-        if self._loop is None:
-            self._loop = asyncio.get_event_loop()
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Bind the event loop and start the executor thread."""
+        self._loop = loop
         self._drain_event = asyncio.Event()
         self._thread = threading.Thread(target=self._executor_loop,
                                         name="serve-executor",
@@ -111,7 +120,7 @@ class ServeBridge:
             self._thread = None
 
     async def drain(self) -> None:
-        """Wait until every accepted cold job has finished.
+        """Wait until every accepted cold job has been booked.
 
         The caller is expected to have stopped accepting new submits
         first (:attr:`draining`); status/result/metrics reads stay
@@ -120,7 +129,7 @@ class ServeBridge:
         self.draining = True
         while True:
             with self._lock:
-                if self._outstanding == 0:
+                if not self._unbooked():
                     return
             self._drain_event.clear()
             try:
@@ -129,65 +138,118 @@ class ServeBridge:
             except asyncio.TimeoutError:
                 pass
 
-    # -- submission (event-loop thread) ----------------------------------
+    # -- submission (any thread) -----------------------------------------
 
     def submit(self, entry: str, mode: str = "full",
                seed: Optional[int] = None) -> Dict[str, Any]:
         """Submit one experiment; never blocks on computation.
 
-        Returns a small routing record: the job's content key plus how
-        the submit resolved — ``cache_hit`` (DONE instantly from the
-        result cache), ``deduped`` (attached to an existing job for the
-        same fingerprint), or cold (queued for the executor).
+        Safe from any thread.  Returns the job's content key and how
+        the submit resolved: ``created`` is false when the submit
+        attached to the existing job for the same key (racing identical
+        submits collapse onto one job), and ``cache_hit`` is true when
+        the result cache finished the new job at once.  A new cold job
+        is queued for the executor.
         """
         t0 = self.runlog.now_ps()
-        key = self.service.submit(entry, mode=mode, seed=seed)
-        job = self.service.get_job(key)
+        spec = REGISTRY.get(entry)
+        if spec is None:
+            raise ConfigError(f"unknown registry entry {entry!r}")
+        seed = self.seed if seed is None else seed
+        key = cache_key(entry, spec.params_for(mode), self._calib_fp,
+                        self._sources_fp, seed)
         with self._lock:
-            created = key not in self._seen
-            if created:
-                self._seen.add(key)
+            created = key not in self._jobs
+        if created:
+            job = Job(name=entry, eid=spec.eid, key=key, mode=mode,
+                      seed=seed, cost_s=spec.cost_s,
+                      deadline_s=default_deadline_s(spec.cost_s))
+            hit = self.cache.get(key)  # outside the lock: a file read
+            if hit is not None:
+                job.payload_json = hit
+                job.transition(DONE)
+            with self._lock:
+                # An identical submit on another thread may have won.
+                created = self._jobs.setdefault(key, job) is job
+                self._g_depth.set(self._unbooked())
         if not created:
             self._c_deduped.inc()
-            return {"key": key, "created": False,
-                    "cache_hit": False, "state": job.state}
+            return {"key": key, "created": False, "cache_hit": False}
+        if self.journal is not None:
+            self.journal.record("submit", name=entry, key=key, mode=mode,
+                                seed=seed, state=job.state)
         self._record_event(key, "submit", name=entry, mode=mode,
-                           seed=job.seed, state=job.state)
+                           seed=seed, state=job.state)
         if job.state == DONE:
-            # Cache hit: the service loaded the payload inline; the
-            # whole request path never left this thread.
-            with self._lock:
-                self._booked.add(key)
+            # Cache hit: the whole request path never left this thread.
             self._c_cache_hit.inc()
             self._h_hit_us.observe(
                 (self.runlog.now_ps() - t0) / 1e6)  # ps -> us
             self._record_event(key, "job", name=entry, state=DONE,
                                cache="hit")
-            return {"key": key, "created": True,
-                    "cache_hit": True, "state": DONE}
+            return {"key": key, "created": True, "cache_hit": True}
         self._c_cold.inc()
-        with self._lock:
-            self._outstanding += 1
-            self._g_depth.set(self._outstanding)
         self._queue.put(key)
-        return {"key": key, "created": True,
-                "cache_hit": False, "state": job.state}
+        return {"key": key, "created": True, "cache_hit": False}
+
+    # -- reading (any thread) --------------------------------------------
+
+    def job(self, key: str) -> Optional[Job]:
+        """The table's job for ``key``, or None if it was never submitted."""
+        with self._lock:
+            return self._jobs.get(key)
+
+    def jobs(self) -> List[Dict[str, Any]]:
+        """Every known job's snapshot, in submission order."""
+        with self._lock:
+            return [job.to_dict() for job in self._jobs.values()]
+
+    def counts(self) -> Dict[str, int]:
+        """How many known jobs sit in each state right now."""
+        counts = dict.fromkeys(JOB_STATES, 0)
+        with self._lock:
+            for job in self._jobs.values():
+                counts[job.state] += 1
+        return counts
+
+    def result_text(self, key: str) -> Optional[str]:
+        """The canonical payload text for a content key, verbatim.
+
+        The done job's payload, else the result cache's (a result an
+        earlier run computed); None when neither has it.  This is the
+        byte-identity contract: the text is exactly what the suite and
+        cache store, never re-serialized.
+        """
+        job = self.job(key)
+        if job is not None and job.state == DONE:
+            return job.payload_json
+        return self.cache.get(key)  # outside the lock: a file read
+
+    def events(self, key: str) -> List[Dict[str, Any]]:
+        """Snapshot of the job's progress events, oldest first."""
+        with self._lock:
+            return list(self._events.get(key, ()))
+
+    def _unbooked(self) -> int:
+        """Cold jobs accepted but not yet booked: the queue depth.
+
+        The caller holds the lock.
+        """
+        return sum(not job.finished for job in self._jobs.values())
 
     # -- waiting (event-loop thread) -------------------------------------
 
     async def wait_done(self, key: str,
                         timeout_s: float = 60.0) -> Job:
-        """Wait until the job is finished (or the timeout passes).
+        """Wait until the job is booked finished (or the timeout passes).
 
         Returns the job either way; callers check ``job.finished``.
         """
         deadline = self._loop.time() + timeout_s
         while True:
-            job = self.service.get_job(key)
-            if self.finished(key):
-                return job
+            job = self.job(key)
             remaining = deadline - self._loop.time()
-            if remaining <= 0:
+            if job.finished or remaining <= 0:
                 return job
             await self._await_wakeup(key, min(remaining, _WAIT_SLICE_S))
 
@@ -204,22 +266,10 @@ class ServeBridge:
             fresh = [e for e in self.events(key) if e["seq"] > after_seq]
             if fresh:
                 return fresh
-            if self.finished(key):
-                return []
             remaining = deadline - self._loop.time()
-            if remaining <= 0:
+            if self.job(key).finished or remaining <= 0:
                 return []
             await self._await_wakeup(key, min(remaining, _WAIT_SLICE_S))
-
-    def finished(self, key: str) -> bool:
-        """Whether the job is finished, cached and counted."""
-        with self._lock:
-            return key in self._booked
-
-    def events(self, key: str) -> List[Dict[str, Any]]:
-        """Snapshot of the job's progress events, oldest first."""
-        with self._lock:
-            return list(self._events.get(key, ()))
 
     async def _await_wakeup(self, key: str, timeout_s: float) -> None:
         ev = self._wakeups.setdefault(key, asyncio.Event())
@@ -246,50 +296,55 @@ class ServeBridge:
                 return
 
     def _run_batch(self, keys: List[str]) -> None:
-        jobs = [self.service.get_job(k) for k in keys]
-        self._g_busy.set(min(len(jobs), self.service.workers))
+        with self._lock:
+            work = {key: dataclasses.replace(self._jobs[key])
+                    for key in keys}
+        self._g_busy.set(min(len(work), self.workers))
+
+        def on_event(t: str, info: Dict[str, Any]) -> None:
+            key = info.get("key")
+            if key is None:
+                return
+            self._record_event(key, t, **{
+                k: v for k, v in info.items()
+                if k not in ("key", "payload_json")})
+            if t == "job":
+                self._book(work[key])
+            self._notify(key)
+
         try:
-            JobScheduler(jobs, _registry_runner,
-                         workers=self.service.workers,
-                         journal=self.service.journal,
-                         on_event=self._on_event).run()
+            JobScheduler(list(work.values()), run_entry,
+                         workers=self.workers, journal=self.journal,
+                         on_event=on_event).run()
         finally:
             self._g_busy.set(0)
-            for job in jobs:
-                self._account(job)
+            for job in work.values():
+                self._book(job)
                 self._notify(job.key)
             self._signal_drain()
 
-    def _account(self, job: Job) -> None:
-        """Book one finished job's metrics and result, exactly once.
+    def _book(self, job: Job) -> None:
+        """Store a copy of the scheduler's ``job`` in the table.
 
-        Runs on the executor thread only.  The job counts as
-        :meth:`finished` to waiters only once this returns, so a client
-        that saw its submit complete also sees the counters agree.
+        Runs on the executor thread only, the one writer of a cold
+        job's table entry.  A finished job is booked first, exactly
+        once: a done payload goes into the result cache (outside the
+        lock, since the write fsyncs) and the outcome is counted, so a
+        reader that sees the job finished also sees both.
         """
-        if self.finished(job.key) or not job.finished:
-            return
-        self.service.store_result(job)
-        if job.state == DONE:
-            self._c_computed.inc()
-            self._h_compute_ms.observe(job.wall_s * 1e3)
-        else:
-            self._c_failed.inc()
+        if job.finished:
+            if self.job(job.key).finished:
+                return
+            if job.state == DONE:
+                self.cache.put(job.key, job.name, job.payload_json,
+                               meta={"mode": job.mode, "seed": job.seed})
+                self._c_computed.inc()
+                self._h_compute_ms.observe(job.wall_s * 1e3)
+            else:
+                self._c_failed.inc()
         with self._lock:
-            self._booked.add(job.key)
-            self._outstanding -= 1
-            self._g_depth.set(self._outstanding)
-
-    def _on_event(self, t: str, info: Dict[str, Any]) -> None:
-        key = info.get("key")
-        if key is None:
-            return
-        info = {k: v for k, v in info.items()
-                if k not in ("key", "payload_json")}
-        self._record_event(key, t, **info)
-        if info.get("state") in (DONE, FAILED):
-            self._account(self.service.get_job(key))
-        self._notify(key)
+            self._jobs[job.key] = dataclasses.replace(job)
+            self._g_depth.set(self._unbooked())
 
     # -- cross-thread plumbing -------------------------------------------
 
@@ -300,9 +355,6 @@ class ServeBridge:
 
     def _notify(self, key: str) -> None:
         """Wake any event-loop waiters parked on ``key``."""
-        if self._loop is None:
-            return
-
         def _fire() -> None:
             ev = self._wakeups.pop(key, None)
             if ev is not None:
@@ -314,8 +366,6 @@ class ServeBridge:
             pass  # loop already closed during shutdown
 
     def _signal_drain(self) -> None:
-        if self._loop is None or self._drain_event is None:
-            return
         try:
             self._loop.call_soon_threadsafe(self._drain_event.set)
         except RuntimeError:

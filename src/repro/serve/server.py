@@ -18,8 +18,9 @@ Endpoints (full reference in ``docs/serving.md``)::
 
 Dedup and byte-identity are not server features — they fall out of the
 substrate.  A job id *is* the cache fingerprint, so identical submits
-collapse in :meth:`JobService.submit` and every result response is the
-canonical payload text served verbatim.
+collapse in :meth:`ServeBridge.submit`, whose job table every route
+reads, and every result response is the canonical payload text served
+verbatim.
 
 Shutdown: SIGTERM (or SIGINT) flips the server into *draining* — new
 submits get 503, reads stay live, in-flight jobs finish and journal —
@@ -37,10 +38,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.bench.jobs import (DONE, FAILED, Journal, JobService,
-                              new_run_id)
+from repro.bench.cache import ResultCache
+from repro.bench.jobs import DONE, FAILED, Job, Journal, new_run_id
 from repro.errors import ConfigError
-from repro.obs.runlog import RunLog
 from repro.serve.bridge import ServeBridge
 
 SERVER_NAME = "tca-bench-serve/1"
@@ -69,16 +69,14 @@ class HttpError(Exception):
 class JobServer:
     """One serving process: asyncio acceptor + ServeBridge executor."""
 
-    def __init__(self, service: JobService, host: str = "127.0.0.1",
+    def __init__(self, bridge: ServeBridge, host: str = "127.0.0.1",
                  port: int = DEFAULT_PORT,
-                 runlog: Optional[RunLog] = None,
                  run_id: Optional[str] = None):
-        self.service = service
+        self.bridge = bridge
         self.host = host
         self.port = port
-        self.runlog = runlog or RunLog(label="serve")
-        self.run_id = run_id or new_run_id("serve", service.seed)
-        self.bridge = ServeBridge(service, runlog=self.runlog)
+        self.runlog = bridge.runlog
+        self.run_id = run_id or new_run_id("serve", bridge.seed)
         self._server: Optional[asyncio.base_events.Server] = None
         self._requests = self.runlog.metrics.counter("serve.http.requests")
         self._h_request_us = self.runlog.metrics.histogram(
@@ -94,14 +92,14 @@ class JobServer:
         sock = self._server.sockets[0]
         self.port = sock.getsockname()[1]
         print(f"serving on http://{self.host}:{self.port} "
-              f"run={self.run_id} workers={self.service.workers}",
+              f"run={self.run_id} workers={self.bridge.workers}",
               file=sys.stderr, flush=True)
 
     async def drain_and_stop(self) -> None:
         """The SIGTERM path: refuse new work, finish what's in flight."""
         self.bridge.draining = True
         print(f"draining run={self.run_id} "
-              f"outstanding={self.service.counts()}",
+              f"outstanding={self.bridge.counts()}",
               file=sys.stderr, flush=True)
         await self.bridge.drain()
         if self._server is not None:
@@ -188,7 +186,7 @@ class JobServer:
             elif path == "/v1/jobs" and method == "POST":
                 status, doc = await self._route_submit(request)
             elif path == "/v1/jobs" and method == "GET":
-                status, doc = 200, {"jobs": self.service.jobs()}
+                status, doc = 200, {"jobs": self.bridge.jobs()}
             elif path in ("/v1/jobs", "/healthz", "/metrics"):
                 raise HttpError(405, f"no route for {method} {path}")
             else:
@@ -232,8 +230,8 @@ class JobServer:
         return 200, {
             "status": "draining" if self.bridge.draining else "ok",
             "run": self.run_id,
-            "workers": self.service.workers,
-            "jobs": self.service.counts(),
+            "workers": self.bridge.workers,
+            "jobs": self.bridge.counts(),
         }
 
     async def _route_submit(self, request: Dict[str, Any]
@@ -256,8 +254,9 @@ class JobServer:
         ticket = self.bridge.submit(entry, mode=mode, seed=seed)
         key = ticket["key"]
         if wait:
-            await self.bridge.wait_done(key, timeout_s=timeout_s)
-        job = self.service.get_job(key)
+            job = await self.bridge.wait_done(key, timeout_s=timeout_s)
+        else:
+            job = self.bridge.job(key)
         status = 200 if job.state == DONE else 202
         return status, {
             "job": job.to_dict(),
@@ -271,47 +270,40 @@ class JobServer:
             },
         }
 
-    def _route_status(self, key: str) -> Tuple[int, Dict[str, Any]]:
-        if key not in self.service:
+    def _job(self, key: str) -> Job:
+        job = self.bridge.job(key)
+        if job is None:
             raise HttpError(404, f"unknown job {key[:12]}")
-        return 200, {"job": self.service.status(key),
+        return job
+
+    def _route_status(self, key: str) -> Tuple[int, Dict[str, Any]]:
+        return 200, {"job": self._job(key).to_dict(),
                      "events": len(self.bridge.events(key))}
 
     async def _route_result(self, key: str, writer: asyncio.StreamWriter,
                             keep_alive: bool, t0: int) -> bool:
-        if key not in self.service:
-            raise HttpError(404, f"unknown job {key[:12]}")
-        job = self.service.get_job(key)
+        job = self._job(key)
         if job.state == FAILED:
             raise HttpError(500, f"job failed: {job.error}")
         if job.state != DONE:
             raise HttpError(409, f"job is {job.state}, result not ready")
         # Byte-identity contract: the canonical payload text, verbatim.
-        payload = self.service.result_text(key).encode()
-        return await self._send(writer, 200, payload,
+        return await self._send(writer, 200, job.payload_json.encode(),
                                 keep_alive=keep_alive, t0=t0)
 
     async def _route_fingerprint(self, key: str,
                                  writer: asyncio.StreamWriter,
                                  keep_alive: bool, t0: int) -> bool:
-        if key in self.service:
-            job = self.service.get_job(key)
-            if job.state == DONE:
-                return await self._send(
-                    writer, 200, self.service.result_text(key).encode(),
-                    keep_alive=keep_alive, t0=t0)
-        if self.service.cache is not None:
-            hit = self.service.cache.get(key)
-            if hit is not None:
-                return await self._send(writer, 200, hit.encode(),
-                                        keep_alive=keep_alive, t0=t0)
-        raise HttpError(404, f"no result for fingerprint {key[:12]}")
+        payload = self.bridge.result_text(key)
+        if payload is None:
+            raise HttpError(404, f"no result for fingerprint {key[:12]}")
+        return await self._send(writer, 200, payload.encode(),
+                                keep_alive=keep_alive, t0=t0)
 
     async def _route_events(self, key: str, request: Dict[str, Any],
                             writer: asyncio.StreamWriter) -> None:
         """SSE progress stream, fed from the job's bridge event log."""
-        if key not in self.service:
-            raise HttpError(404, f"unknown job {key[:12]}")
+        self._job(key)  # 404 before the stream opens
         try:
             since = int(request["query"].get("since", "0"))
         except ValueError:
@@ -336,10 +328,9 @@ class JobServer:
                              f"event: {event['t']}\r\n"
                              f"data: {data}\r\n\r\n".encode())
             await writer.drain()
-            if self.bridge.finished(key) and not fresh:
+            if self._job(key).finished and not fresh:
                 break
-        job = self.service.get_job(key)
-        final = json.dumps({"state": job.state, "key": key},
+        final = json.dumps({"state": self._job(key).state, "key": key},
                            sort_keys=True)
         writer.write(f"event: end\r\ndata: {final}\r\n\r\n".encode())
         await writer.drain()
@@ -371,20 +362,15 @@ def build_server(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  cache_dir: Optional[str] = None,
                  journal_dir: Optional[str] = None) -> JobServer:
     """Assemble the service stack exactly as ``tca-bench serve`` does."""
-    from repro.bench.cache import ResultCache
-
     cache = ResultCache(Path(cache_dir) if cache_dir else None)
     run_id = new_run_id("serve", seed)
     journal = None
     if journal_dir:
-        jdir = Path(journal_dir)
-        jdir.mkdir(parents=True, exist_ok=True)
-        journal = Journal(Journal.path_for(jdir, run_id))
-        journal.record("run", run_id=run_id, mode="serve", seed=seed,
-                       entries=[], keys=[])
-    service = JobService(cache=cache, workers=workers, seed=seed,
+        journal = Journal.create(journal_dir, run_id, mode="serve",
+                                 seed=seed, entries=[], keys=[])
+    bridge = ServeBridge(cache, workers=workers, seed=seed,
                          journal=journal)
-    return JobServer(service, host=host, port=port, run_id=run_id)
+    return JobServer(bridge, host=host, port=port, run_id=run_id)
 
 
 async def _serve_until_signalled(server: JobServer) -> None:
@@ -395,9 +381,10 @@ async def _serve_until_signalled(server: JobServer) -> None:
     await server.start()
     await stop.wait()
     await server.drain_and_stop()
-    if server.service.journal is not None:
-        server.service.journal.record("end", run_id=server.run_id)
-        server.service.journal.close()
+    journal = server.bridge.journal
+    if journal is not None:
+        journal.record("end", run_id=server.run_id)
+        journal.close()
 
 
 def serve_main(args) -> int:

@@ -8,10 +8,10 @@ node's own port-N entry.  This module builds those tables composably —
     node set  ->  coordinate map  ->  per-dimension route entries
 
 — with dimension-order routing (highest/slowest-varying dimension
-corrected first) and an adaptive *detour* hook that reuses the healing
-machinery: a broken cable becomes a :class:`FabricCut`, and every ring
-that contains it routes around the gap exactly the way PEARL's
-ring-to-chain comparator reprogramming does (§III-A).
+corrected first) and detours that reuse the healing machinery: a broken
+cable becomes a :class:`FabricCut`, and every ring that contains it
+routes around the gap exactly the way PEARL's ring-to-chain comparator
+reprogramming does (§III-A).
 
 A ring sub-cluster is the 1D torus ``(n,)`` and a healed ring's chain
 is that torus with one cut, so both are built here directly; each ring
@@ -29,8 +29,7 @@ paper's 8-entry table and 3D needs the deepened 16-entry table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.peach2.registers import PortCode, RouteEntry
@@ -48,12 +47,6 @@ MAX_DIMS = len(DIM_PORTS)
 
 PLUS = 1
 MINUS = -1
-
-#: Detour hook signature: (dim, extent, src_coord, dst_coord, cut_coord)
-#: -> PLUS or MINUS.  ``cut_coord`` is the coordinate whose plus-direction
-#: cable on this ring is down, or None when the ring is whole.
-DetourFn = Callable[[int, int, int, int, Optional[int]], int]
-
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -192,7 +185,7 @@ def coordinate_map(geometry: TorusGeometry,
             for position, node_id in enumerate(nodes)}
 
 
-def ring_arc(dim: int, extent: int, src_coord: int, dst_coord: int,
+def ring_arc(extent: int, src_coord: int, dst_coord: int,
              cut_coord: Optional[int] = None) -> int:
     """Travel direction on one dimension's ring: ``PLUS`` or ``MINUS``.
 
@@ -242,7 +235,6 @@ def entries_for(address_map: TCAAddressMap, ids: Sequence[int],
 def fabric_route_entries(address_map: TCAAddressMap, node_id: int,
                          geometry: TorusGeometry, nodes: Sequence[int],
                          cuts: Iterable[FabricCut] = (),
-                         detour: Optional[DetourFn] = None,
                          ) -> List[RouteEntry]:
     """Dimension-order route table for one node of a torus fabric.
 
@@ -253,14 +245,13 @@ def fabric_route_entries(address_map: TCAAddressMap, node_id: int,
     the path length equals the sum of per-dimension ring hops.
 
     ``cuts`` lists broken cables; rings containing one detour around it
-    via ``detour`` (default :func:`ring_arc`), the same chain routing the
-    1D healing path programs.
+    via :func:`ring_arc`, the same chain routing the 1D healing path
+    programs.
     """
     coords = coordinate_map(geometry, nodes)
     if node_id not in coords:
         raise ConfigError(f"node {node_id} is not in the fabric")
     mine = coords[node_id]
-    pick = detour or ring_arc
 
     # A cut matters to this node's table only when the broken cable lies
     # on one of its own rings (all coordinates equal except the cut dim).
@@ -293,8 +284,8 @@ def fabric_route_entries(address_map: TCAAddressMap, node_id: int,
                 continue        # a higher dimension claims this packet
             if there[dim] == mine[dim]:
                 continue        # a lower dimension claims it
-            arc = pick(dim, geometry.extents[dim], mine[dim], there[dim],
-                       my_cuts.get(dim))
+            arc = ring_arc(geometry.extents[dim], mine[dim], there[dim],
+                           my_cuts.get(dim))
             (plus_ids if arc == PLUS else minus_ids).append(other_id)
         plus_port, minus_port = DIM_PORTS[dim]
         entries.extend(entries_for(address_map, plus_ids, plus_port))

@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.cache import ResultCache, canonical_json
+from repro.bench.cache import canonical_json
 from repro.bench.jobs import (BACKOFF_CAP_S, DONE, FAILED, JOB_STATES,
-                              PENDING, RUNNING, Job, JobScheduler,
-                              JobService, Journal, TRANSITIONS,
-                              _registry_runner, backoff_delay,
-                              backoff_schedule, default_deadline_s,
-                              new_run_id)
+                              PENDING, RUNNING, Job, JobScheduler, Journal,
+                              TRANSITIONS, backoff_delay, backoff_schedule,
+                              default_deadline_s, new_run_id)
 from repro.errors import ConfigError
 
 
@@ -393,97 +391,6 @@ def test_job_events_equal_the_journal_records_plus_key(tmp_path, workers):
     assert states == [RUNNING, PENDING, RUNNING, DONE]
     assert {r["worker"] for r in records if r["state"] == DONE} <= set(
         range(workers))
-
-
-# -- the job service ------------------------------------------------------------------
-
-def test_service_deduplicates_submissions():
-    service = JobService()
-    a = service.submit("theory", mode="tiny")
-    b = service.submit("theory", mode="tiny")
-    assert a == b
-    assert len(service.jobs()) == 1
-
-
-def _run_submitted(service, key):
-    """Run one submitted job as the serving layer's executor does."""
-    job = service.get_job(key)
-    JobScheduler([job], _registry_runner, workers=service.workers).run()
-    service.store_result(job)
-    return service.counts()
-
-
-def test_service_serves_cached_results_instantly(tmp_path):
-    cache = ResultCache(tmp_path)
-    warm = JobService(cache=cache)
-    key = warm.submit("theory", mode="tiny")
-    assert _run_submitted(warm, key)[DONE] == 1
-
-    cold = JobService(cache=cache)
-    assert cold.submit("theory", mode="tiny") == key
-    assert cold.status(key)["state"] == DONE  # no execution needed
-    assert cold.result(key) == warm.result(key)
-
-
-def test_service_result_of_pending_job_raises():
-    service = JobService()
-    key = service.submit("theory", mode="tiny")
-    with pytest.raises(ConfigError):
-        service.result(key)
-    with pytest.raises(ConfigError):
-        service.status("not-a-key")
-
-
-def test_service_runs_pending_and_stores(tmp_path):
-    cache = ResultCache(tmp_path)
-    service = JobService(cache=cache)
-    key = service.submit("theory", mode="tiny")
-    counts = _run_submitted(service, key)
-    assert counts[DONE] == 1 and counts[PENDING] == 0
-    assert cache.get(key) == service._jobs[key].payload_json
-
-
-def test_service_rejects_unknown_entry():
-    with pytest.raises(ConfigError):
-        JobService().submit("no-such-experiment")
-
-
-def test_service_submit_is_thread_safe():
-    """Racing identical submits from many threads yield one job.
-
-    The serving layer submits from its event-loop thread while an
-    executor thread mutates job state; the service's lock must make
-    that safe (the PR-10 bugfix rider).
-    """
-    import threading
-
-    service = JobService()
-    keys = []
-    barrier = threading.Barrier(8)
-
-    def hammer():
-        barrier.wait()
-        for _ in range(25):
-            keys.append(service.submit("theory", mode="tiny"))
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(keys)) == 1
-    assert len(service.jobs()) == 1
-    assert service.counts()[PENDING] == 1
-
-
-def test_service_result_text_is_verbatim_payload(tmp_path):
-    cache = ResultCache(tmp_path)
-    service = JobService(cache=cache)
-    key = service.submit("theory", mode="tiny")
-    _run_submitted(service, key)
-    assert service.result_text(key) == service._jobs[key].payload_json
-    assert service.result(key) == json.loads(service.result_text(key))
-    assert key in service and "f" * 64 not in service
 
 
 def test_journal_record_is_thread_safe(tmp_path):

@@ -49,6 +49,29 @@ def test_chaos_rejects_unknown_scenario():
         run_harness_chaos(mode="tiny", scenarios=["meteor-strike"])
 
 
+def test_chaos_cli_loads_once_and_has_a_fixed_pool():
+    """Run as CI does, with runpy's double-import warning as an error:
+    the module must load once, and a pool-size flag is refused (exit 2)
+    before anything runs — one worker cannot kill a fork worker or fire
+    a deadline."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.faults.harness_chaos", "--workers", "1"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "unrecognized arguments: --workers 1" in proc.stderr
+
+
+def test_fault_package_does_not_load_the_suite():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.faults; "
+         "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # -- journal + resume directly through run_suite --------------------------------------
 
 CHEAP = ["theory", "latency"]

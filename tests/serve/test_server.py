@@ -191,14 +191,14 @@ def test_error_statuses(tmp_path):
 
 def test_result_of_unfinished_job_is_409(tmp_path, monkeypatch):
     # Hold the job in the executor until the 409 has been checked.
-    real_runner = bridge_module._registry_runner
+    real_runner = bridge_module.run_entry
     release = threading.Event()
 
     def held_runner(name, mode, seed):
         release.wait(60)
         return real_runner(name, mode, seed)
 
-    monkeypatch.setattr(bridge_module, "_registry_runner", held_runner)
+    monkeypatch.setattr(bridge_module, "run_entry", held_runner)
 
     async def body(server, client):
         try:

@@ -81,28 +81,28 @@ class TestTorusGeometry:
 
 class TestRingArc:
     def test_shortest_path(self):
-        assert ring_arc(0, 8, 0, 2) == PLUS
-        assert ring_arc(0, 8, 0, 6) == MINUS
+        assert ring_arc(8, 0, 2) == PLUS
+        assert ring_arc(8, 0, 6) == MINUS
 
     def test_antipodal_tie_breaks_plus(self):
         for extent in (2, 4, 8, 16):
             for src in range(extent):
                 dst = (src + extent // 2) % extent
-                assert ring_arc(0, extent, src, dst) == PLUS
+                assert ring_arc(extent, src, dst) == PLUS
 
     def test_cut_forbids_crossing_plus(self):
         # Cable out of coordinate 1 is down: 0 -> 2 must go minus.
-        assert ring_arc(0, 4, 0, 2, cut_coord=1) == MINUS
-        assert ring_arc(0, 4, 0, 3, cut_coord=1) == MINUS
-        assert ring_arc(0, 4, 0, 1, cut_coord=1) == PLUS
+        assert ring_arc(4, 0, 2, cut_coord=1) == MINUS
+        assert ring_arc(4, 0, 3, cut_coord=1) == MINUS
+        assert ring_arc(4, 0, 1, cut_coord=1) == PLUS
 
     def test_cut_forbids_crossing_minus(self):
         # Cable out of coordinate 3 (3 -> 0) is down: 0 -> 3 goes plus.
-        assert ring_arc(0, 4, 0, 3, cut_coord=3) == PLUS
+        assert ring_arc(4, 0, 3, cut_coord=3) == PLUS
 
     def test_same_coordinate_rejected(self):
         with pytest.raises(ConfigError):
-            ring_arc(0, 4, 2, 2)
+            ring_arc(4, 2, 2)
 
 
 class TestCoordinateMap:
