@@ -2,10 +2,14 @@
 
 Usage::
 
-    python -m repro.bench <experiment> [...]
+    python -m repro.bench <command> [flags]
     tca-bench --list
     tca-bench all --json
     tca-bench latency --trace trace.json --metrics metrics.json
+
+Every command is an argparse subcommand that accepts exactly the flags
+it reads (``tca-bench <command> -h`` lists them); any other flag is
+refused with exit 2 before anything runs.
 
 ``--trace`` / ``--metrics`` run the experiments under an observability
 session (see :mod:`repro.obs`): every engine the experiments build gets a
@@ -34,11 +38,50 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict, FrozenSet, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.bench.experiments import REGISTRY
 from repro.bench.series import SweepTable
 from repro.errors import ReproError
+from repro.model.anchors import AnchorCheck
+
+
+@dataclass(frozen=True)
+class Validation:
+    """The anchor-table checks ``tca-bench validate`` made."""
+
+    checks: List[AnchorCheck]
+
+    @property
+    def failing(self) -> List[str]:
+        """The names of the anchors that did not pass."""
+        return [c.anchor.name for c in self.checks if c.status != "pass"]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"anchors": [c.to_dict() for c in self.checks],
+                "passed": len(self.checks) - len(self.failing),
+                "total": len(self.checks)}
+
+    def __str__(self) -> str:
+        passed = len(self.checks) - len(self.failing)
+        return "\n".join([*map(str, self.checks),
+                          f"{passed}/{len(self.checks)} anchors within "
+                          "tolerance"])
+
+
+#: The experiments whose anchors ``tca-bench validate`` checks.
+VALIDATED = ("latency", "fig7", "fig9")
+
+
+def _validate() -> Validation:
+    """Check the anchor-table rows of :data:`VALIDATED` on their smoke
+    payloads, the bytes ``tca-bench suite --smoke`` checks."""
+    from repro.bench import suite
+
+    payloads = {name: json.loads(suite.run_entry(name, "smoke", 0)[0])
+                for name in VALIDATED}
+    return Validation(suite.check_anchors(payloads))
 
 
 def _registry_runner(spec) -> Callable[[], object]:
@@ -50,82 +93,12 @@ def _registry_runner(spec) -> Callable[[], object]:
 #: and ``serve-bench`` have their own entry points.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
     **{name: _registry_runner(spec) for name, spec in REGISTRY.items()},
-    "validate": lambda: _validate(),
+    "validate": _validate,
 }
 
 
 #: The sweeps whose points ``--engine-workers`` spreads over fork workers.
 MULTI_ENGINE = ("fig7", "fig9")
-
-_EXPERIMENTS = "the experiments"
-_SWEEPS = "fig7, fig9 and all"
-
-#: The options each command reads, by argparse ``dest``.  Every command
-#: of the generic loop (the E1-E23 names, ``validate`` and ``all``)
-#: reads the first set, and the sweeps and ``all`` the second too.  An
-#: option set away from its default on a command that does not read it
-#: is refused before anything runs.
-COMMAND_OPTIONS: Dict[str, FrozenSet[str]] = {
-    _EXPERIMENTS: frozenset({"chart", "json", "trace", "metrics",
-                             "fault_plan"}),
-    _SWEEPS: frozenset({"engine_workers"}),
-    "suite": frozenset({"json", "shards", "smoke", "tiny", "cache_dir",
-                        "no_cache", "force", "seed", "report", "render_md",
-                        "trace_out", "journal_dir", "no_journal",
-                        "resume"}),
-    "perf": frozenset({"json", "bench_json", "profile", "check",
-                       "baseline", "threshold", "events_floor",
-                       "overhead_budget", "perf_experiments"}),
-    "serve": frozenset({"host", "port", "serve_workers", "seed",
-                        "cache_dir", "journal_dir", "no_journal"}),
-    "serve-bench": frozenset({"entry", "serve_bench_mode", "requests",
-                              "concurrency", "coalesce", "assert_speedup",
-                              "serve_workers", "seed", "cache_dir",
-                              "bench_json"}),
-}
-
-
-def _options_read(command: str) -> Optional[FrozenSet[str]]:
-    """The option dests ``command`` reads; None for an unknown command."""
-    if command in COMMAND_OPTIONS:
-        return COMMAND_OPTIONS[command]
-    if command not in EXPERIMENTS and command != "all":
-        return None
-    reads = COMMAND_OPTIONS[_EXPERIMENTS]
-    if command in MULTI_ENGINE + ("all",):
-        reads = reads | COMMAND_OPTIONS[_SWEEPS]
-    return reads
-
-
-def _unread_options_problem(args, defaults: Dict[str, object]
-                            ) -> Optional[str]:
-    """Name every option the command would silently ignore, if any."""
-    reads = _options_read(args.experiment) if args.experiment else None
-    if reads is None or args.list:
-        return None
-    unread = []
-    for dest, default in defaults.items():
-        if (dest in ("experiment", "list") or dest in reads
-                or getattr(args, dest) == default):
-            continue
-        readers = [name for name, dests in COMMAND_OPTIONS.items()
-                   if dest in dests]
-        said = (readers[0] if len(readers) == 1 else
-                ", ".join(readers[:-1]) + " and " + readers[-1])
-        unread.append(f"--{dest.replace('_', '-')} ({said})")
-    if not unread:
-        return None
-    return f"{args.experiment!r} does not read " + ", ".join(unread)
-
-
-def _session_flag(args) -> Optional[str]:
-    """The first of ``--trace``, ``--metrics`` and ``--fault-plan`` given."""
-    for flag, value in (("--trace", args.trace),
-                        ("--metrics", args.metrics),
-                        ("--fault-plan", args.fault_plan)):
-        if value:
-            return flag
-    return None
 
 
 def _engine_workers_problem(args) -> Optional[str]:
@@ -138,32 +111,15 @@ def _engine_workers_problem(args) -> Optional[str]:
     workers = args.engine_workers
     if workers < 0:
         return f"--engine-workers must be >= 0, got {workers}"
-    flag = _session_flag(args)
-    if workers > 1 and flag is not None:
-        return (f"--engine-workers > 1 cannot be combined with {flag}:"
-                " fork workers are not observed; run inline")
+    if workers > 1:
+        for flag, value in (("--trace", args.trace),
+                            ("--metrics", args.metrics),
+                            ("--fault-plan", args.fault_plan)):
+            if value:
+                return (f"--engine-workers > 1 cannot be combined with "
+                        f"{flag}: fork workers are not observed; run "
+                        "inline")
     return None
-
-
-def _perf_session_problem(args) -> Optional[str]:
-    """Why ``perf`` cannot run under a session flag, if one is given.
-
-    ``perf`` times a bare and an instrumented pass of its own: under
-    the CLI's ``--trace``, ``--metrics`` or ``--fault-plan`` session the
-    bare pass would be observed or faulted too, and the overhead ratio
-    it reports would be wrong.
-    """
-    flag = _session_flag(args)
-    if args.experiment == "perf" and flag is not None:
-        return (f"perf cannot be combined with {flag}: it times its own "
-                "bare and instrumented passes")
-    return None
-
-
-def _validate() -> str:
-    from repro.model.validate import render_validation, validate_calibration
-
-    return render_validation(validate_calibration())
 
 
 def _suite_main(args) -> int:
@@ -180,10 +136,6 @@ def _suite_main(args) -> int:
     from repro.bench.suite import (DEFAULT_JOURNAL_DIR,
                                    render_experiments_md, run_suite)
 
-    if args.smoke and args.tiny:
-        print("error: --smoke and --tiny are mutually exclusive",
-              file=sys.stderr)
-        return 2
     if args.resume and args.no_journal:
         print("error: --resume needs the journal; drop --no-journal",
               file=sys.stderr)
@@ -400,164 +352,181 @@ def to_payload(result: object) -> object:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``tca-bench`` argument parser."""
+    """The ``tca-bench`` argument parser: one subparser per command.
+
+    Each command accepts exactly the flags it reads; argparse refuses
+    any other with exit 2 before anything runs.  Flags that several
+    commands read live on shared parent parsers.
+    """
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="emit results as a JSON document on stdout")
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--seed", type=int, default=0,
+                       help="seed folded into every entry seed and cache "
+                            "key (default 0)")
+    store.add_argument("--cache-dir", metavar="PATH", default=None,
+                       help="result-cache directory (default "
+                            "$TCA_BENCH_CACHE_DIR or .tca-bench-cache)")
+    journal = argparse.ArgumentParser(add_help=False)
+    journal.add_argument("--journal-dir", metavar="PATH", default=None,
+                         help="crash-safe run-journal directory (default "
+                              ".tca-bench-journal)")
+    journal.add_argument("--no-journal", action="store_true",
+                         help="disable the run journal")
+    bench_json = argparse.ArgumentParser(add_help=False)
+    bench_json.add_argument("--bench-json", metavar="PATH", default=None,
+                            help="write the benchmark document to PATH "
+                                 "(see docs/performance.md, "
+                                 "docs/serving.md)")
+    serve_workers = argparse.ArgumentParser(add_help=False)
+    serve_workers.add_argument("--serve-workers", type=int, default=1,
+                               metavar="N",
+                               help="fork workers for cold jobs; 1 runs "
+                                    "them inline on the executor thread "
+                                    "(default 1)")
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--chart", action="store_true",
+                         help="also render sweeps as ASCII charts")
+    session.add_argument("--trace", metavar="PATH", default=None,
+                         help="write a Perfetto trace-event JSON file")
+    session.add_argument("--metrics", metavar="PATH", default=None,
+                         help="write collected metrics (JSON; text for "
+                              "paths not ending in .json)")
+    session.add_argument("--fault-plan", metavar="PLAN", default=None,
+                         help="arm a fault-injection plan on every engine:"
+                              " a preset (none, flaky-links, lost-irq, "
+                              "chaos), optionally NAME:SEED, or a JSON "
+                              "plan file (see docs/robustness.md)")
+    engine_workers = argparse.ArgumentParser(add_help=False)
+    engine_workers.add_argument("--engine-workers", type=int, default=1,
+                                metavar="N",
+                                help="measure the sweep points on N fork "
+                                     "workers; output stays byte-identical"
+                                     " to the inline run (default 1, "
+                                     "inline)")
+
     parser = argparse.ArgumentParser(
         prog="tca-bench",
         description="Regenerate the paper's tables and figures from the "
-                    "TCA/PEACH2 simulation.")
-    parser.add_argument("experiment", nargs="?", default=None,
-                        help="experiment name, or 'all'")
+                    "TCA/PEACH2 simulation.  Flags follow the command; "
+                    "'tca-bench COMMAND -h' lists the ones it reads.")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--chart", action="store_true",
-                        help="also render sweeps as ASCII charts")
-    parser.add_argument("--json", action="store_true",
-                        help="emit results as a JSON document on stdout")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a Perfetto trace-event JSON file")
-    parser.add_argument("--metrics", metavar="PATH", default=None,
-                        help="write collected metrics (JSON; text for "
-                             "paths not ending in .json)")
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="arm a fault-injection plan on every engine: "
-                             "a preset (none, flaky-links, lost-irq, chaos),"
-                             " optionally NAME:SEED, or a JSON plan file "
-                             "(see docs/robustness.md)")
-    parser.add_argument("--engine-workers", type=int, default=1,
-                        metavar="N",
-                        help="with fig7, fig9 or all: measure the sweep "
-                             "points on N fork workers; output stays "
-                             "byte-identical to the inline run "
-                             "(default 1, inline)")
-    parser.add_argument("--bench-json", metavar="PATH", default=None,
-                        help="with 'perf' or 'serve-bench': write the "
-                             "benchmark document to PATH (see "
-                             "docs/performance.md, docs/serving.md)")
-    group = parser.add_argument_group(
-        "suite options", "read by the 'suite' experiment (see "
-        "docs/experiments.md); 'serve' also reads --seed, --cache-dir, "
-        "--journal-dir and --no-journal, and 'serve-bench' --seed and "
-        "--cache-dir")
-    group.add_argument("--shards", type=int, default=1, metavar="N",
+    commands = parser.add_subparsers(dest="experiment", metavar="COMMAND")
+
+    def command(name: str, summary: str,
+                *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return commands.add_parser(name, help=summary, parents=parents,
+                                   allow_abbrev=False)
+
+    for name, spec in REGISTRY.items():
+        sweep = (engine_workers,) if name in MULTI_ENGINE else ()
+        command(name, f"{spec.eid}: {spec.title}", json_flag, session,
+                *sweep)
+    command("validate", "check the latency, Fig. 7 and Fig. 9 anchors "
+            "(exit 1 if any fails)", json_flag, session)
+    command("all", "E1-E23, then validate", json_flag, session,
+            engine_workers)
+
+    suite = command("suite", "the sharded, cached suite run with every "
+                    "anchor checked (see docs/experiments.md)",
+                    json_flag, store, journal)
+    suite.add_argument("--shards", type=int, default=1, metavar="N",
                        help="number of worker processes (default 1)")
-    group.add_argument("--smoke", action="store_true",
-                       help="reduced sweeps that keep every anchor point")
-    group.add_argument("--tiny", action="store_true",
-                       help="minimal sweeps (determinism testing; most "
-                            "anchors are skipped)")
-    group.add_argument("--cache-dir", metavar="PATH", default=None,
-                       help="result-cache directory (default "
-                            "$TCA_BENCH_CACHE_DIR or .tca-bench-cache)")
-    group.add_argument("--no-cache", action="store_true",
+    mode = suite.add_mutually_exclusive_group()
+    mode.add_argument("--smoke", action="store_true",
+                      help="reduced sweeps that keep every anchor point")
+    mode.add_argument("--tiny", action="store_true",
+                      help="minimal sweeps (determinism testing; most "
+                           "anchors are skipped)")
+    suite.add_argument("--no-cache", action="store_true",
                        help="disable the result cache entirely")
-    group.add_argument("--force", action="store_true",
+    suite.add_argument("--force", action="store_true",
                        help="ignore cache hits but still store results")
-    group.add_argument("--seed", type=int, default=0,
-                       help="suite seed, folded into every entry seed "
-                            "and cache key (default 0)")
-    group.add_argument("--report", metavar="PATH", default=None,
+    suite.add_argument("--report", metavar="PATH", default=None,
                        help="write the tca-bench-suite/1 conformance "
                             "report JSON to PATH")
-    group.add_argument("--render-md", metavar="PATH", nargs="?",
+    suite.add_argument("--render-md", metavar="PATH", nargs="?",
                        const="EXPERIMENTS.md", default=None,
                        help="regenerate the marked tables of EXPERIMENTS.md"
                             " (or PATH) from the live results")
-    group.add_argument("--trace-out", metavar="PATH", default=None,
+    suite.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a wall-clock Perfetto trace of the "
                             "suite run itself (worker timelines, cache "
                             "latencies)")
-    group.add_argument("--journal-dir", metavar="PATH", default=None,
-                       help="crash-safe run-journal directory (default "
-                            ".tca-bench-journal)")
-    group.add_argument("--no-journal", action="store_true",
-                       help="disable the run journal (and --resume)")
-    group.add_argument("--resume", metavar="RUN_ID", default=None,
+    suite.add_argument("--resume", metavar="RUN_ID", default=None,
                        help="resume a journalled run: restore its "
                             "finished payloads and re-execute only the "
                             "unfinished entries")
-    perf_group = parser.add_argument_group(
-        "perf options", "only meaningful with the 'perf' experiment "
-        "(see docs/performance.md)")
-    perf_group.add_argument("--profile", action="store_true",
-                            help="sample host time per experiment and "
-                                 "print its layer shares and top sites")
-    perf_group.add_argument("--check", action="store_true",
-                            help="gate this run against --baseline; "
-                                 "exit nonzero on regression")
-    perf_group.add_argument("--baseline", metavar="PATH",
-                            default="BENCH_PR9.json",
-                            help="committed tca-bench-perf/1 baseline "
-                                 "for --check (default BENCH_PR9.json)")
-    perf_group.add_argument("--threshold", type=float, default=None,
-                            metavar="FRAC",
-                            help="allowed bare events/s regression "
-                                 "(default 0.15)")
-    perf_group.add_argument("--events-floor", type=float, default=None,
-                            metavar="N",
-                            help="with --check: absolute floor on the "
-                                 "run's overall bare events/s (catches "
-                                 "slow erosion the relative gate "
-                                 "cannot)")
-    perf_group.add_argument("--overhead-budget", type=float, default=None,
-                            metavar="RATIO",
-                            help="maximum instrumented/bare overhead "
-                                 "ratio (default 2.0)")
-    perf_group.add_argument("--perf-experiments", metavar="NAMES",
-                            default=None,
-                            help="comma-separated subset of the perf "
-                                 "experiments (tiny CI budgets)")
-    serve_group = parser.add_argument_group(
-        "serve options", "only meaningful with the 'serve' and "
-        "'serve-bench' subcommands (see docs/serving.md)")
-    serve_group.add_argument("--host", default="127.0.0.1",
-                             help="serve: bind address "
-                                  "(default 127.0.0.1)")
-    serve_group.add_argument("--port", type=int, default=8023,
-                             help="serve: TCP port; 0 picks an "
-                                  "ephemeral port (default 8023)")
-    serve_group.add_argument("--serve-workers", type=int, default=1,
-                             metavar="N",
-                             help="fork workers for cold jobs; 1 runs "
-                                  "them inline on the executor thread "
-                                  "(default 1)")
-    serve_group.add_argument("--entry", default="fig9",
-                             help="serve-bench: registry entry to "
-                                  "compute cold (default fig9)")
-    serve_group.add_argument("--serve-bench-mode", default="smoke",
-                             choices=("full", "smoke", "tiny"),
-                             metavar="MODE",
-                             help="serve-bench: experiment mode "
-                                  "(default smoke)")
-    serve_group.add_argument("--requests", type=int, default=2000,
-                             metavar="N",
-                             help="serve-bench: warm requests per phase "
-                                  "(default 2000)")
-    serve_group.add_argument("--concurrency", type=int, default=32,
-                             metavar="C",
-                             help="serve-bench: concurrent keep-alive "
-                                  "connections (default 32)")
-    serve_group.add_argument("--coalesce", type=int, default=16,
-                             metavar="K",
-                             help="serve-bench: concurrent identical "
-                                  "cold submits (default 16)")
-    serve_group.add_argument("--assert-speedup", type=float,
-                             default=None, metavar="X",
-                             help="serve-bench: exit nonzero unless "
-                                  "cold-compute / warm-p50 >= X")
+
+    perf = command("perf", "wall-clock benchmark, host-time sampler and "
+                   "regression gate (see docs/performance.md)",
+                   json_flag, bench_json)
+    perf.add_argument("--profile", action="store_true",
+                      help="sample host time per experiment and print "
+                           "its layer shares and top sites")
+    perf.add_argument("--check", action="store_true",
+                      help="gate this run against --baseline; exit "
+                           "nonzero on regression")
+    perf.add_argument("--baseline", metavar="PATH",
+                      default="BENCH_PR9.json",
+                      help="committed tca-bench-perf/1 baseline for "
+                           "--check (default BENCH_PR9.json)")
+    perf.add_argument("--threshold", type=float, default=None,
+                      metavar="FRAC",
+                      help="allowed bare events/s regression "
+                           "(default 0.15)")
+    perf.add_argument("--events-floor", type=float, default=None,
+                      metavar="N",
+                      help="with --check: absolute floor on the run's "
+                           "overall bare events/s (catches slow erosion "
+                           "the relative gate cannot)")
+    perf.add_argument("--overhead-budget", type=float, default=None,
+                      metavar="RATIO",
+                      help="maximum instrumented/bare overhead ratio "
+                           "(default 2.0)")
+    perf.add_argument("--perf-experiments", metavar="NAMES", default=None,
+                      help="comma-separated subset of the perf "
+                           "experiments (tiny CI budgets)")
+
+    serve = command("serve", "the HTTP job service (see docs/serving.md)",
+                    store, journal, serve_workers)
+    serve.add_argument("--host", default="127.0.0.1",
+                       help="bind address (default 127.0.0.1)")
+    serve.add_argument("--port", type=int, default=8023,
+                       help="TCP port; 0 picks an ephemeral port "
+                            "(default 8023)")
+
+    bench = command("serve-bench", "the serving load test (see "
+                    "docs/serving.md)", store, serve_workers, bench_json)
+    bench.add_argument("--entry", default="fig9",
+                       help="registry entry to compute cold "
+                            "(default fig9)")
+    bench.add_argument("--serve-bench-mode", default="smoke",
+                       choices=("full", "smoke", "tiny"), metavar="MODE",
+                       help="experiment mode (default smoke)")
+    bench.add_argument("--requests", type=int, default=2000, metavar="N",
+                       help="warm requests per phase (default 2000)")
+    bench.add_argument("--concurrency", type=int, default=32, metavar="C",
+                       help="concurrent keep-alive connections "
+                            "(default 32)")
+    bench.add_argument("--coalesce", type=int, default=16, metavar="K",
+                       help="concurrent identical cold submits "
+                            "(default 16)")
+    bench.add_argument("--assert-speedup", type=float, default=None,
+                       metavar="X",
+                       help="exit nonzero unless cold-compute / warm-p50 "
+                            ">= X")
     return parser
 
 
 def main(argv=None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    problem = (_perf_session_problem(args)
-               or _unread_options_problem(args, vars(parser.parse_args([])))
-               or _engine_workers_problem(args))
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h, or a command line argparse refused
+        return exc.code
 
     if args.list or args.experiment is None:
         print("available experiments:")
@@ -582,14 +551,13 @@ def main(argv=None) -> int:
     if args.experiment == "perf":
         return _perf_main(args)
 
+    if hasattr(args, "engine_workers"):
+        problem = _engine_workers_problem(args)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     names = list(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        for name in unknown:
-            print(f"unknown experiment {name!r}; use --list",
-                  file=sys.stderr)
-        return 2
 
     obs = None
     if args.trace or args.metrics:
@@ -653,13 +621,19 @@ def main(argv=None) -> int:
                    for name, result in results.items()}
         json.dump(payload, sys.stdout, indent=2, default=str)
         print()
-        return 0
+    else:
+        for name, result in results.items():
+            print(f"==== {name} ====")
+            print(render(result, chart=args.chart))
+            print()
 
-    for name, result in results.items():
-        print(f"==== {name} ====")
-        print(render(result, chart=args.chart))
-        print()
-    return 0
+    validation = results.get("validate")
+    failing = (validation.failing if isinstance(validation, Validation)
+               else [])
+    for anchor in failing:
+        print(f"error: validate: anchor {anchor} did not pass",
+              file=sys.stderr)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,8 +7,7 @@ same for the harness that runs it.  Every suite entry becomes a
     PENDING ──► RUNNING ──► DONE
        ▲           │
        └───────────┤  retry (deadline kill / crash, seeded backoff)
-                   ├──► FAILED       (attempts or requeues exhausted)
-                   └──► QUARANTINED  (poisoned input, e.g. corrupt cache)
+                   └──► FAILED       (attempts or requeues exhausted)
 
 and the pieces around it keep a run alive through the failures the
 APEnet+ line of work treats as the norm at cluster scale:
@@ -73,19 +72,17 @@ PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-QUARANTINED = "quarantined"
 
-JOB_STATES = (PENDING, RUNNING, DONE, FAILED, QUARANTINED)
+JOB_STATES = (PENDING, RUNNING, DONE, FAILED)
 
 #: Legal state transitions; anything else is a supervisor bug.
 #: PENDING -> DONE covers cache hits and journal restores, where the
 #: result exists before any worker runs.
 TRANSITIONS: Dict[str, Tuple[str, ...]] = {
-    PENDING: (RUNNING, DONE, FAILED, QUARANTINED),
-    RUNNING: (DONE, FAILED, PENDING, QUARANTINED),  # PENDING = requeue
+    PENDING: (RUNNING, DONE, FAILED),
+    RUNNING: (DONE, FAILED, PENDING),  # PENDING = requeue
     DONE: (),
     FAILED: (),
-    QUARANTINED: (),
 }
 
 #: Retry/backoff defaults.  The backoff exists to spread retries of a
@@ -178,7 +175,7 @@ class Job:
 
     @property
     def finished(self) -> bool:
-        return self.state in (DONE, FAILED, QUARANTINED)
+        return self.state in (DONE, FAILED)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

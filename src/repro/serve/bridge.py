@@ -28,7 +28,9 @@ are counted, and only then does the table's job turn finished and its
 waiters wake.  So a reader that sees a job finished also sees its
 result cached and counted, and the table job's ``state`` is all any
 reader asks.  The job's SSE frames are the scheduler's ``job`` records,
-as the journal holds them.
+as the journal holds them.  When the harness itself raises (a cache
+write, a journal append), the job is booked ``failed`` with the error
+and one more ``job`` frame says so; the executor thread lives on.
 
 Every interesting instant is counted on a :class:`repro.obs.runlog.RunLog`
 registry (queue depth, cache-hit latency, worker saturation, compute
@@ -42,12 +44,13 @@ import asyncio
 import dataclasses
 import queue
 import threading
+import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.bench.cache import ResultCache, cache_key, sources_fingerprint
 from repro.bench.experiments import REGISTRY
-from repro.bench.jobs import (DONE, JOB_STATES, Job, JobScheduler, Journal,
-                              default_deadline_s)
+from repro.bench.jobs import (DONE, FAILED, JOB_STATES, Job, JobScheduler,
+                              Journal, default_deadline_s)
 from repro.bench.suite import run_entry
 from repro.errors import ConfigError
 from repro.model.anchors import calibration_fingerprint
@@ -175,11 +178,16 @@ class ServeBridge:
         if not created:
             self._c_deduped.inc()
             return {"key": key, "created": False, "cache_hit": False}
-        if self.journal is not None:
-            self.journal.record("submit", name=entry, key=key, mode=mode,
-                                seed=seed, state=job.state)
         self._record_event(key, "submit", name=entry, mode=mode,
                            seed=seed, state=job.state)
+        if self.journal is not None:
+            try:
+                self.journal.record("submit", name=entry, key=key,
+                                    mode=mode, seed=seed, state=job.state)
+            except OSError as exc:
+                self._book_failed(job, "journal append failed: "
+                                  f"{type(exc).__name__}: {exc}")
+                return {"key": key, "created": True, "cache_hit": False}
         if job.state == DONE:
             # Cache hit: the whole request path never left this thread.
             self._c_cache_hit.inc()
@@ -312,16 +320,22 @@ class ServeBridge:
                 self._book(work[key])
             self._notify(key)
 
+        error = None
         try:
             JobScheduler(list(work.values()), run_entry,
                          workers=self.workers, journal=self.journal,
                          on_event=on_event).run()
-        finally:
-            self._g_busy.set(0)
-            for job in work.values():
+        except Exception as exc:  # e.g. a journal append raised
+            traceback.print_exc()
+            error = f"scheduler raised: {type(exc).__name__}: {exc}"
+        self._g_busy.set(0)
+        for job in work.values():
+            if error is None:
                 self._book(job)
-                self._notify(job.key)
-            self._signal_drain()
+            elif not self.job(job.key).finished:
+                self._book_failed(job, error)
+            self._notify(job.key)
+        self._signal_drain()
 
     def _book(self, job: Job) -> None:
         """Store a copy of the scheduler's ``job`` in the table.
@@ -330,20 +344,40 @@ class ServeBridge:
         job's table entry.  A finished job is booked first, exactly
         once: a done payload goes into the result cache (outside the
         lock, since the write fsyncs) and the outcome is counted, so a
-        reader that sees the job finished also sees both.
+        reader that sees the job finished also sees both.  A done job
+        whose cache write raises is booked failed instead.
         """
-        if job.finished:
-            if self.job(job.key).finished:
-                return
-            if job.state == DONE:
+        if self.job(job.key).finished:
+            return
+        if job.state == DONE:
+            try:
                 self.cache.put(job.key, job.name, job.payload_json,
                                meta={"mode": job.mode, "seed": job.seed})
-                self._c_computed.inc()
-                self._h_compute_ms.observe(job.wall_s * 1e3)
-            else:
-                self._c_failed.inc()
+            except OSError as exc:
+                self._book_failed(job, "cache write failed: "
+                                  f"{type(exc).__name__}: {exc}")
+                return
+            self._c_computed.inc()
+            self._h_compute_ms.observe(job.wall_s * 1e3)
+        elif job.state == FAILED:
+            self._c_failed.inc()
         with self._lock:
             self._jobs[job.key] = dataclasses.replace(job)
+            self._g_depth.set(self._unbooked())
+
+    def _book_failed(self, job: Job, error: str) -> None:
+        """Book ``job`` failed because the harness around it raised.
+
+        The caller is the job's one table writer: the executor thread,
+        or the submitting thread before the job is queued.  The failure
+        is counted and becomes the job's last SSE frame.
+        """
+        self._c_failed.inc()
+        self._record_event(job.key, "job", name=job.name, state=FAILED,
+                           error=error)
+        with self._lock:
+            self._jobs[job.key] = dataclasses.replace(
+                job, state=FAILED, payload_json=None, error=error)
             self._g_depth.set(self._unbooked())
 
     # -- cross-thread plumbing -------------------------------------------

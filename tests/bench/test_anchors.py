@@ -66,8 +66,10 @@ class TestAnchorTable:
 
         a = Anchor("t", "latency", "d", lambda p: scalar(p, "v"),
                    100.0, 0.01)
-        assert a.check({"v": 100.5}).status == "pass"
-        assert a.check({"v": 150.0}).status == "fail"
+        good, bad = a.check({"v": 100.5}), a.check({"v": 150.0})
+        assert good.status == "pass" and bad.status == "fail"
+        assert str(good).startswith("[ok ] t: ")
+        assert str(bad).startswith("[FAIL] t: ")
         skipped = a.check({"other": 1})
         assert skipped.status == "skipped" and skipped.ok
 

@@ -1,1 +1,1 @@
-"""Documentation conformance tests: links, paper map, TOC coverage."""
+"""Documentation conformance tests: links, paper map, TOC coverage, CLI invocations."""

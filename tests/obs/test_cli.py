@@ -10,7 +10,7 @@ from repro.bench.series import SweepTable
 
 def test_unknown_experiment_exits_2(capsys):
     assert main(["nosuch"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
 def test_list_exits_0(capsys):

@@ -11,7 +11,9 @@ scheduler's ``job`` records.  Two cold jobs submitted before the
 executor starts share one batch, so with two workers the fast one
 finishes on the pool while the slow one still runs.  The cache write
 fsyncs outside the table's lock, so reads on the event-loop thread
-answer while it runs.
+answer while it runs.  A cache write or journal append that raises
+fails its job, not the executor: later jobs still run and the drain
+finishes.
 """
 
 import asyncio
@@ -23,7 +25,7 @@ import time
 import pytest
 
 from repro.bench.cache import ResultCache
-from repro.bench.jobs import DONE, PENDING, RUNNING, Journal
+from repro.bench.jobs import DONE, FAILED, PENDING, RUNNING, Journal
 from repro.errors import ConfigError
 from repro.serve.bridge import _WAIT_SLICE_S, ServeBridge
 from repro.serve.loadtest import _Client
@@ -245,3 +247,61 @@ def test_reads_answer_while_the_executor_writes_the_cache(tmp_path,
     assert status == 200 and status_s < 0.5, status_s
     assert not polled.finished and poll_s < 0.5, poll_s
     assert job.state == DONE
+
+
+# -- the harness's own errors ---------------------------------------------------------
+
+def _wait_on_each(submits, **build_kw):
+    """Start a server and wait on each ``(entry, mode)`` submit in turn;
+    return the jobs as the waits left them, their last SSE frames and
+    the failed count.  The drain must then finish, or this raises
+    ``TimeoutError``."""
+    async def main():
+        server = build_server(host="127.0.0.1", port=0, **build_kw)
+        await server.start()
+        jobs, frames = [], []
+        for entry, mode in submits:
+            key = server.bridge.submit(entry, mode=mode)["key"]
+            jobs.append(await server.bridge.wait_done(key, timeout_s=10))
+            frames.append(server.bridge.events(key)[-1])
+        failed = server.runlog.metrics.counter("serve.jobs.failed").value
+        await asyncio.wait_for(_shut_down(server), 10)
+        if server.bridge.journal is not None:
+            server.bridge.journal.close()
+        return jobs, frames, failed
+
+    return asyncio.run(main())
+
+
+def test_cache_write_error_fails_the_job_not_the_executor(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("a file, not a directory\n")
+    jobs, frames, failed = _wait_on_each(
+        [("theory", "tiny"), ("table1", "tiny")],
+        cache_dir=str(afile / "sub"))
+    assert [job.state for job in jobs] == [FAILED, FAILED]
+    assert all("NotADirectoryError" in job.error for job in jobs)
+    assert [(f["t"], f["state"], f["error"]) for f in frames] == [
+        ("job", FAILED, job.error) for job in jobs]
+    assert failed == 2
+
+
+@pytest.mark.parametrize("record", ["submit", "job"])
+def test_journal_error_fails_the_job_not_the_executor(tmp_path, monkeypatch,
+                                                      record):
+    append = Journal.record
+
+    def broken_record(self, t, **fields):
+        if t == record:
+            raise OSError("journal disk full")
+        return append(self, t, **fields)
+
+    monkeypatch.setattr(Journal, "record", broken_record)
+    jobs, frames, failed = _wait_on_each(
+        [("theory", "tiny"), ("table1", "tiny")],
+        cache_dir=str(tmp_path / "cache"),
+        journal_dir=str(tmp_path / "journal"))
+    assert [job.state for job in jobs] == [FAILED, FAILED]
+    assert all("journal disk full" in job.error for job in jobs)
+    assert [(f["t"], f["state"]) for f in frames] == [("job", FAILED)] * 2
+    assert failed == 2

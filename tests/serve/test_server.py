@@ -55,7 +55,7 @@ def test_healthz_reports_ok_and_counts(tmp_path):
         assert doc["status"] == "ok"
         assert doc["run"] == server.run_id
         assert doc["jobs"] == {"pending": 0, "running": 0, "done": 0,
-                               "failed": 0, "quarantined": 0}
+                               "failed": 0}
 
     serve(body, cache_dir=str(tmp_path))
 
