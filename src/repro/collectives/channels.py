@@ -94,7 +94,7 @@ class ChannelScheduler:
         start_tsc = self.driver.node.cpu.read_tsc()
         if self.engine.tracer is not None:
             self.engine.trace(f"node{self.node_id}.sched", "chain-launch",
-                              channel=channel, descriptors=len(descriptors))
+                              channel, len(descriptors))
         irq = self.driver.submit_chain(channel, descriptors)
         irq.add_callback(
             lambda end_tsc: self._complete(channel, done,

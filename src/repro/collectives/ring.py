@@ -137,8 +137,8 @@ class TCACollectives:
         # The flag-wait span is what the critical-path analyzer walks
         # (repro.obs.critpath); a strict no-op without a tracer.
         if self.engine.tracer is not None:
-            self.engine.trace(f"coll.n{node}", "coll-wait", flag=flag,
-                              dur_ps=self.engine.now_ps - start_ps)
+            self.engine.trace(f"coll.n{node}", "coll-wait", flag,
+                              self.engine.now_ps - start_ps)
         return tsc
 
     def _put(self, src_node: int, src_offset: int, dst_node: int,
@@ -189,11 +189,9 @@ class TCACollectives:
         self.flags.signal(src_node, dst_node, flag)
         # One span per flagged put, decomposed for repro.obs.critpath.
         if self.engine.tracer is not None:
-            self.engine.trace(f"coll.n{src_node}", "coll-put", flag=flag,
-                              dst=dst_node, nbytes=nbytes,
-                              transport=transport, wire_ps=wire_ps,
-                              queue_ps=queue_ps,
-                              dur_ps=self.engine.now_ps - start_ps)
+            self.engine.trace(f"coll.n{src_node}", "coll-put", flag,
+                              dst_node, nbytes, transport, wire_ps,
+                              queue_ps, self.engine.now_ps - start_ps)
 
     def _reduce_into(self, node: int, accum_offset: int,
                      staging_offset: int, nbytes: int) -> None:

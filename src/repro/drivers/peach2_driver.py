@@ -159,7 +159,7 @@ class PEACH2Driver:
             channel, DMA_REG_DOORBELL)
         if self.engine.tracer is not None:
             self.engine.trace(f"{self.node.name}.driver", "doorbell",
-                              channel=channel, chip=self.chip.name)
+                              channel, self.chip.name)
         self.node.cpu.store_u32(doorbell, 1)
         return done
 
@@ -216,7 +216,7 @@ class PEACH2Driver:
             channel, DMA_REG_DOORBELL)
         if self.engine.tracer is not None:
             self.engine.trace(f"{self.node.name}.driver", "doorbell-retry",
-                              channel=channel, chip=self.chip.name)
+                              channel, self.chip.name)
         self.node.cpu.store_u32(doorbell, 1)
 
     def reset_channel(self, channel: int) -> None:
@@ -229,7 +229,7 @@ class PEACH2Driver:
         self.channel_resets += 1
         if self.engine.tracer is not None:
             self.engine.trace(f"{self.node.name}.driver", "channel-reset",
-                              channel=channel, chip=self.chip.name)
+                              channel, self.chip.name)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(
                 f"driver.{self.node.name}.channel_resets").inc()
@@ -272,7 +272,7 @@ class PEACH2Driver:
             self.completion_timeouts += 1
             if self.engine.tracer is not None:
                 self.engine.trace(f"{self.node.name}.driver", "irq-timeout",
-                                  channel=channel, waited_ps=timeout_ps)
+                                  channel, timeout_ps)
             if self.engine.metrics is not None:
                 self.engine.metrics.counter(
                     f"driver.{self.node.name}.irq_timeouts").inc()
@@ -289,7 +289,7 @@ class PEACH2Driver:
                 self._irq_signals[channel] = None
                 if self.engine.tracer is not None:
                     self.engine.trace(f"{self.node.name}.driver",
-                                      "irq-recovered", channel=channel)
+                                      "irq-recovered", channel)
                 if self.engine.metrics is not None:
                     self.engine.metrics.counter(
                         f"driver.{self.node.name}.lost_irqs_recovered").inc()
@@ -326,7 +326,7 @@ class PEACH2Driver:
         self._irq_signals[channel] = None
         if self.engine.tracer is not None:
             self.engine.trace(f"{self.node.name}.driver", "irq-complete",
-                              channel=channel, chip=self.chip.name)
+                              channel, self.chip.name)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(
                 f"driver.{self.node.name}.irqs").inc()

@@ -107,7 +107,7 @@ class FaultInjector:
                 link.take_down()
                 self.count("link_flaps")
                 if self.engine.tracer is not None:
-                    self.engine.trace("faults", "link-cut", link=link.name)
+                    self.engine.trace("faults", "link-cut", link.name)
 
         self.engine.at(down_at, cut)
         if flap.up_at_ps is not None:

@@ -50,7 +50,7 @@ class CPU(Device):
             self.interrupts_received += 1
             vector = int.from_bytes(tlp.payload.tobytes(), "little")
             if self.engine.tracer is not None:
-                self.engine.trace(self.name, "msi", vector=vector)
+                self.engine.trace(self.name, "msi", vector)
             if self.engine.metrics is not None:
                 self.engine.metrics.counter(
                     f"cpu.{self.name}.interrupts").inc()
@@ -75,8 +75,7 @@ class CPU(Device):
         """
         data = np.asarray(data, dtype=np.uint8)
         if self.engine.tracer is not None:
-            self.engine.trace(self.name, "pio-store", addr=address,
-                              bytes=len(data))
+            self.engine.trace(self.name, "pio-store", address, len(data))
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"cpu.{self.name}.pio_stores").inc()
         self.port.send(make_write(address, data,

@@ -127,7 +127,7 @@ class HostMemory(Device):
         tracer = engine.tracer
         if tracer is not None:
             tracer.emit(engine._now_ps, self.name, "mem-commit",
-                        offset=offset, bytes=len(payload))
+                        offset, len(payload))
         metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:

@@ -206,11 +206,11 @@ class CollectiveRecorder(Tracer):
         self.chain = chain
 
     def emit(self, time_ps: int, component: str, kind: str,
-             **detail: Any) -> None:
+             *values: Any) -> None:
         if self.chain is not None:
-            self.chain.emit(time_ps, component, kind, **detail)
+            self.chain.emit(time_ps, component, kind, *values)
         if kind.startswith("coll-"):
-            super().emit(time_ps, component, kind, **detail)
+            super().emit(time_ps, component, kind, *values)
 
 
 @contextlib.contextmanager

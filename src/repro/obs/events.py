@@ -1,9 +1,10 @@
 """The structured-event taxonomy emitted by the instrumented fabric.
 
 Every instrumented component funnels through ``engine.trace(component,
-kind, **detail)``; this module is the single authority on ``kind`` names
-so tools (exporters, the latency-attribution walker, tests) never match
-free-hand strings.
+kind, *values)`` (hot sites call ``tracer.emit`` directly); this module
+is the single authority on ``kind`` names so tools (exporters, the
+latency-attribution walker, tests) never match free-hand strings, and on
+each kind's detail fields (:data:`FIELDS`).
 
 Instant events carry only a timestamp; *span* events additionally carry
 ``dur_ps`` in their detail and, per the :mod:`repro.sim.trace` convention,
@@ -72,3 +73,53 @@ PIO_MILESTONES = frozenset({PIO_STORE, TLP_SENT, LINK_TX, TLP_RECV,
 #: Event kinds the DMA phase-attribution walker treats as milestones.
 DMA_MILESTONES = frozenset({DOORBELL, DMA_START, DESC_FETCH, DMA_DONE,
                             IRQ_COMPLETE})
+
+#: Detail field names of every event kind, in the order its sites pass
+#: the values.  A tracer stores only the values (:mod:`repro.sim.trace`)
+#: and names them from this table when a record is read.  A ``None``
+#: value leaves its field out of the detail: a PIO ``tca-put`` is an
+#: instant, with no ``dur_ps``.
+FIELDS = {
+    # PCIe substrate
+    TLP_SENT: ("tlp", "addr", "bytes"),
+    TLP_RECV: ("tlp", "addr", "bytes"),
+    LINK_TX: ("dur_ps", "bytes", "tlp"),
+    SWITCH_FORWARD: ("tlp", "out"),
+    QPI_CROSS: ("cls", "tlp"),
+    "link-drop": ("where", "tlp", "bytes"),
+    "link-nak": ("tlp",),
+    "link-replay-timeout": ("tlp",),
+    "link-down": (),
+    "link-up": (),
+    "switch-drop": ("tlp", "out"),
+    "egress-drop": ("tlp",),
+    "completion-timeout": ("tag",),
+    # PEACH2
+    ROUTE: ("tlp", "addr", "out", "translated"),
+    DMA_START: ("channel", "descriptors"),
+    DMA_DONE: ("channel", "aborted"),
+    DESC_FETCH: ("channel", "dur_ps", "count"),
+    DESC_EXEC: ("channel", "bytes"),
+    "doorbell-stuck": ("channel",),
+    "desc-fetch-error": ("channel", "count"),
+    "msi-dropped": ("channel", "vector"),
+    "watchdog-ring-down": ("link",),
+    # host side
+    PIO_STORE: ("addr", "bytes"),
+    MSI: ("vector",),
+    MEM_COMMIT: ("offset", "bytes"),
+    DOORBELL: ("channel", "chip"),
+    IRQ_COMPLETE: ("channel", "chip"),
+    "doorbell-retry": ("channel", "chip"),
+    "channel-reset": ("channel", "chip"),
+    "irq-timeout": ("channel", "waited_ps"),
+    "irq-recovered": ("channel",),
+    # communication library, collectives, fabric management
+    TCA_PUT: ("transport", "src_node", "bytes", "dur_ps"),
+    "chain-launch": ("channel", "descriptors"),
+    "coll-put": ("flag", "dst", "nbytes", "transport", "wire_ps",
+                 "queue_ps", "dur_ps"),
+    "coll-wait": ("flag", "dur_ps"),
+    "heal": ("link", "cuts"),
+    "link-cut": ("link",),
+}

@@ -88,24 +88,21 @@ def write_perfetto(path: str, engines: Sequence[tuple]) -> None:
     """Write the Perfetto-loadable JSON trace to ``path``.
 
     The file holds exactly ``json.dumps(perfetto_trace(engines),
-    indent=1)``, but the events are encoded and written a batch at a
-    time, so the export holds one batch in memory, not the whole document.
+    separators=(",", ":"))``, but the events are encoded and written a
+    batch at a time, so the export holds one batch in memory, not the
+    whole document.  Compact output is what lets ``json`` use its C
+    encoder; any ``indent`` selects the pure-Python one.
     """
-    encode = json.JSONEncoder(indent=1).encode
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     events = _events(engines)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n "traceEvents": [')
-        separator = "\n"
+        fh.write('{"traceEvents":[')
+        separator = ""
         while batch := list(itertools.islice(events, _EVENTS_PER_WRITE)):
-            # encode() puts the events one level deep, between "[\n" and
-            # "\n]"; the document nests them two levels deep.  JSON escapes
-            # newlines inside strings, so every newline of the encoding is
-            # a line break to indent.
-            fh.write(separator + " "
-                     + encode(batch)[2:-2].replace("\n", "\n "))
-            separator = ",\n"
-        fh.write("]" if separator == "\n" else "\n ]")
-        fh.write(',\n "displayTimeUnit": "ns"\n}')
+            # encode() brackets each batch; the document has one list.
+            fh.write(separator + encode(batch)[1:-1])
+            separator = ","
+        fh.write('],"displayTimeUnit":"ns"}')
 
 
 #: Version tag of the document written by :func:`write_metrics`.

@@ -112,7 +112,7 @@ class TagPool:
         del self._pending[tag]
         self.timeouts += 1
         if self.engine.tracer is not None:
-            self.engine.trace(self.name, "completion-timeout", tag=tag)
+            self.engine.trace(self.name, "completion-timeout", tag)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(
                 f"tags.{self.name}.completion_timeouts").inc()

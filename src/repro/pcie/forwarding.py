@@ -134,7 +134,7 @@ class EgressQueue:
                 self.engine.faults.count("tlps_dropped_egress")
                 if self.engine.tracer is not None:
                     self.engine.trace(self.name, "egress-drop",
-                                      tlp=tlp.kind.value)
+                                      tlp.kind.value)
                 if self.engine.metrics is not None:
                     self.engine.metrics.counter(
                         f"egress.{self.name}.dropped").inc()

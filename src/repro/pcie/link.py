@@ -133,8 +133,8 @@ class _Direction:
     def _drop(self, tlp: TLP, where: str) -> None:
         self.tlps_dropped += 1
         if self.engine.tracer is not None:
-            self.engine.trace(self.name, "link-drop", where=where,
-                              tlp=tlp.kind.value, bytes=tlp.wire_bytes)
+            self.engine.trace(self.name, "link-drop", where,
+                              tlp.kind.value, tlp.wire_bytes)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"link.{self.name}.dropped").inc()
 
@@ -176,9 +176,7 @@ class _Direction:
                 tracer = engine.tracer
                 if tracer is not None:
                     tracer.emit(engine._now_ps, self.name, "link-tx",
-                                dur_ps=serialize_ps,
-                                bytes=wire_bytes,
-                                tlp=tlp.kind._value_)
+                                serialize_ps, wire_bytes, tlp.kind._value_)
                 metrics = engine.metrics
                 if metrics is not None:
                     if metrics is not self._bound_metrics:
@@ -206,7 +204,7 @@ class _Direction:
                     self.naks += 1
                     if self.engine.tracer is not None:
                         self.engine.trace(self.name, "link-nak",
-                                          tlp=tlp.kind.value)
+                                          tlp.kind.value)
                     if self.engine.metrics is not None:
                         self.engine.metrics.counter(
                             f"link.{self.name}.naks").inc()
@@ -217,7 +215,7 @@ class _Direction:
                 else:  # dropped on the wire: only the replay timer notices
                     if self.engine.tracer is not None:
                         self.engine.trace(self.name, "link-replay-timeout",
-                                          tlp=tlp.kind.value)
+                                          tlp.kind.value)
                     yield self.params.replay_timeout_ps
                 if self.engine.metrics is not None:
                     self.engine.metrics.counter(

@@ -80,8 +80,7 @@ class Port:
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.emit(self.engine._now_ps, self.name, "tlp-sent",
-                        tlp=tlp.kind._value_, addr=tlp.address,
-                        bytes=tlp.wire_bytes)
+                        tlp.kind._value_, tlp.address, tlp.wire_bytes)
         return self.link.transmit(self, tlp)
 
     def _ingress_loop(self):
@@ -96,8 +95,7 @@ class Port:
             tracer = engine.tracer
             if tracer is not None:
                 tracer.emit(engine._now_ps, self.name, "tlp-recv",
-                            tlp=tlp.kind._value_, addr=tlp.address,
-                            bytes=tlp.wire_bytes)
+                            tlp.kind._value_, tlp.address, tlp.wire_bytes)
             drained = self.ingress_drained
             if drained is not None:
                 drained()

@@ -70,8 +70,7 @@ class QPIBridge(Device):
         yield gap_ps
         cls = "p2p" if gap_ps == self.params.p2p_gap_ps else "cpu"
         if self.engine.tracer is not None:
-            self.engine.trace(self.name, "qpi-cross", cls=cls,
-                              tlp=tlp.kind.value)
+            self.engine.trace(self.name, "qpi-cross", cls, tlp.kind.value)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"qpi.{self.name}.{cls}_tlps").inc()
         accepted = self._egress[id(out)].submit(tlp)

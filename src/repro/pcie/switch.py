@@ -103,7 +103,7 @@ class PCIeSwitch(Device):
             self.tlps_dropped += 1
             if self.engine.tracer is not None:
                 self.engine.trace(self.name, "switch-drop",
-                                  tlp=tlp.kind.value, out=out.name)
+                                  tlp.kind.value, out.name)
             if self.engine.metrics is not None:
                 self.engine.metrics.counter(
                     f"switch.{self.name}.dropped").inc()
@@ -113,7 +113,7 @@ class PCIeSwitch(Device):
         tracer = engine.tracer
         if tracer is not None:
             tracer.emit(engine._now_ps, self.name, "switch-forward",
-                        tlp=tlp.kind._value_, out=out.name)
+                        tlp.kind._value_, out.name)
         metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:

@@ -253,8 +253,8 @@ class PEACH2Chip(Device):
         tracer = engine.tracer
         if tracer is not None:
             tracer.emit(engine._now_ps, self.name, "route",
-                        tlp=tlp.kind._value_, addr=hex(tlp.address),
-                        out=out.name, translated=translated is not None)
+                        tlp.kind._value_, hex(tlp.address), out.name,
+                        translated is not None)
         metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:

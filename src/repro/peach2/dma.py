@@ -87,7 +87,7 @@ class DMAController:
                 # only the driver's timeout/retry can recover.
                 if self.engine.tracer is not None:
                     self.engine.trace(self.chip.name, "doorbell-stuck",
-                                      channel=channel)
+                                      channel)
                 return
             self.start(channel)
 
@@ -109,8 +109,7 @@ class DMAController:
         self._running[channel] = True
         self.chains_per_channel[channel] += 1
         if self.engine.tracer is not None:
-            self.engine.trace(self.chip.name, "dma-start", channel=channel,
-                              descriptors=count)
+            self.engine.trace(self.chip.name, "dma-start", channel, count)
         done = self.engine.signal(f"{self.chip.name}.dma{channel}.done")
         self.chain_done[channel] = done
         self.chip.regs.set_dma_status(channel, STATUS_RUNNING)
@@ -162,16 +161,15 @@ class DMAController:
                 # round trip was still paid, so the retry costs real time.
                 if self.engine.tracer is not None:
                     self.engine.trace(self.chip.name, "desc-fetch-error",
-                                      channel=channel, count=take)
+                                      channel, take)
                 if self.engine.metrics is not None:
                     self.engine.metrics.counter(
                         f"dma.{self.chip.name}.desc_refetches").inc()
                 continue
             if self.engine.tracer is not None:
                 self.engine.trace(
-                    self.chip.name, "desc-fetch", channel=channel,
-                    dur_ps=self.engine.now_ps - fetch_start_ps,
-                    count=take)
+                    self.chip.name, "desc-fetch", channel,
+                    self.engine.now_ps - fetch_start_ps, take)
             for desc in decode_table(raw, take):
                 queue.put(desc)
             fetched += take
@@ -196,7 +194,7 @@ class DMAController:
             desc = yield queue.get()
             if self.engine.tracer is not None:
                 self.engine.trace(self.chip.name, "desc-exec",
-                                  channel=channel, bytes=desc.length)
+                                  channel, desc.length)
             # Stage 1: descriptor setup, overlapped with the previous
             # descriptor's streaming (two-stage pipeline).
             yield self.calib.dma_desc_setup_ps
@@ -233,8 +231,7 @@ class DMAController:
         self._abort_requested[channel] = False
         self.chains_completed += 1
         if self.engine.tracer is not None:
-            self.engine.trace(self.chip.name, "dma-done", channel=channel,
-                              aborted=aborted)
+            self.engine.trace(self.chip.name, "dma-done", channel, aborted)
         if self.engine.metrics is not None:
             metrics = self.engine.metrics
             metrics.counter(f"dma.{self.chip.name}.chains").inc()
@@ -257,7 +254,7 @@ class DMAController:
             # out and polls it can recover the completion.
             if self.engine.tracer is not None:
                 self.engine.trace(self.chip.name, "msi-dropped",
-                                  channel=channel, vector=vector)
+                                  channel, vector)
             return
         self.chip.inject(make_msi(msi_address, vector,
                                   requester_id=self.chip.device_id))

@@ -152,7 +152,7 @@ class NIOSFirmware:
                     f"{link.name} down")
                 if engine.tracer is not None:
                     engine.trace(self.chip.name, "watchdog-ring-down",
-                                 link=link.name)
+                                 link.name)
                 if engine.metrics is not None:
                     engine.metrics.counter(
                         f"firmware.{self.chip.name}.ring_down_detected").inc()

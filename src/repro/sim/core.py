@@ -343,10 +343,11 @@ class Engine:
         for callback in list(_engine_observers):
             callback(self)
 
-    def trace(self, component: str, kind: str, **detail: Any) -> None:
-        """Emit a trace event if a tracer is installed (cheap when not)."""
+    def trace(self, component: str, kind: str, *values: Any) -> None:
+        """Emit a trace event if a tracer is installed (cheap when not);
+        ``values`` follow :data:`repro.obs.events.FIELDS`."""
         if self.tracer is not None:
-            self.tracer.emit(self._now_ps, component, kind, **detail)
+            self.tracer.emit(self._now_ps, component, kind, *values)
 
     # -- time --------------------------------------------------------------
 

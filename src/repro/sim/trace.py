@@ -5,10 +5,13 @@ descriptor fetched, interrupt raised...).  A tracer records because it is
 installed: with none on the engine (``engine.tracer is None``) a call site
 costs one ``None`` check and builds nothing.
 
-Storage is a flat list of rows, four slots per record, so recording
-allocates nothing the garbage collector tracks (the detail dicts hold
-only ints, strings and bools, which CPython leaves untracked).
-:class:`TraceRecord` objects are built only when a record is read.
+Storage is one flat list: each record is ``time_ps, component, kind``
+followed by its detail values, in the order
+:data:`repro.obs.events.FIELDS` names them for the kind.  Recording thus
+keeps no per-record dict, tuple or object, and nothing the garbage
+collector tracks (the values are ints, strings and bools).  A
+:class:`TraceRecord`, with its detail keyed by those names, is built
+only when a record is read.
 
 Span convention: a record whose ``detail`` carries ``dur_ps`` describes an
 interval that *ended* at ``time_ps`` after lasting ``dur_ps`` picoseconds
@@ -25,9 +28,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import countOf
 from typing import Any, Dict, Iterator, Optional
-
-# Slots per record in a tracer's rows: time_ps, component, kind, detail.
-_WIDTH = 4
 
 
 @dataclass(slots=True)
@@ -52,22 +52,41 @@ class TraceRecord:
 class TraceRecords(Sequence):
     """Read-only view of a tracer's rows; each read builds one record."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_tracer",)
 
-    def __init__(self, rows: list):
-        self._rows = rows
+    def __init__(self, tracer: Tracer):
+        self._tracer = tracer
 
     def __len__(self) -> int:
-        return len(self._rows) // _WIDTH
+        return len(self._tracer)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        start = range(len(self))[index] * _WIDTH
-        return TraceRecord(*self._rows[start:start + _WIDTH])
+        """The record at ``index``, found by walking the rows from the
+        first (records differ in width)."""
+        return next(islice(self, range(len(self))[index], None))
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        rows = iter(self._rows)
-        for time_ps, component, kind, detail in zip(rows, rows, rows, rows):
+        # Deferred: repro.obs imports this module.
+        from repro.obs.events import FIELDS
+
+        rows = self._tracer._rows
+        slots = iter(rows)
+        used = 0
+        for time_ps, component, kind in zip(slots, slots, slots):
+            names = FIELDS.get(kind)
+            if names is None:
+                raise ValueError(
+                    f"trace row {kind!r} at t={time_ps}: no such kind in "
+                    "repro.obs.events.FIELDS, or an earlier row holds "
+                    "more or fewer values than its kind declares")
+            used += 3 + len(names)
+            detail = dict(zip(names, slots))
+            if None in detail.values():
+                detail = {k: v for k, v in detail.items() if v is not None}
             yield TraceRecord(time_ps, component, kind, detail)
+        if used != len(rows):
+            raise ValueError(f"trace rows end {len(rows) - used:+d} slots "
+                             "off the widths their kinds declare")
 
 
 class Tracer:
@@ -76,28 +95,32 @@ class Tracer:
     def __init__(self, max_records: Optional[int] = 100_000):
         self.max_records = max_records
         self._rows: list = []
-        # Row slots the cap allows; emit compares the list length to it.
-        self._room = (sys.maxsize if max_records is None
-                      else _WIDTH * max_records)
+        # Records kept, and the most the cap allows.
+        self._kept = 0
+        self._room = sys.maxsize if max_records is None else max_records
         # Per-kind tally of the records dropped past the cap.
         self._dropped_kinds: Counter = Counter()
 
-    def emit(self, time_ps: int, component: str, kind: str, **detail: Any) -> None:
-        """Record one event."""
-        rows = self._rows
-        if len(rows) < self._room:
-            rows.extend((time_ps, component, kind, detail))
+    def emit(self, time_ps: int, component: str, kind: str,
+             *values: Any) -> None:
+        """Record one event; ``values`` are its detail, in the order
+        :data:`repro.obs.events.FIELDS` names them for ``kind``."""
+        if self._kept < self._room:
+            self._kept += 1
+            rows = self._rows
+            rows.extend((time_ps, component, kind))
+            rows.extend(values)
         else:
             self._dropped_kinds[kind] += 1
 
     def __len__(self) -> int:
         """Records kept (dropped ones excluded); builds no record."""
-        return len(self._rows) // _WIDTH
+        return self._kept
 
     @property
     def records(self) -> TraceRecords:
         """The kept records, in emission order (a view, not a copy)."""
-        return TraceRecords(self._rows)
+        return TraceRecords(self)
 
     @property
     def dropped(self) -> int:
@@ -107,12 +130,13 @@ class Tracer:
 
     def count(self, kind: str) -> int:
         """Number of events of ``kind`` emitted, dropped ones included."""
-        return (countOf(islice(self._rows, 2, None, _WIDTH), kind)
+        return (countOf((r.kind for r in self.records), kind)
                 + self._dropped_kinds[kind])
 
     def clear(self) -> None:
         """Drop all records and the dropped tally."""
         self._rows.clear()
+        self._kept = 0
         self._dropped_kinds.clear()
 
     def dump(self) -> str:

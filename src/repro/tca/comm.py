@@ -95,8 +95,8 @@ class TCAComm:
         cpu = self.cluster.node(src_node).cpu
         data = np.ascontiguousarray(data, dtype=np.uint8)
         if self.engine.tracer is not None:
-            self.engine.trace("tca.comm", "tca-put", transport="pio",
-                              src_node=src_node, bytes=len(data))
+            self.engine.trace("tca.comm", "tca-put", "pio", src_node,
+                              len(data), None)
         for start in range(0, len(data), 8):
             cpu.store(dst_global + start, data[start:start + 8])
 
@@ -165,9 +165,8 @@ class TCAComm:
         elapsed = yield self.engine.process(
             driver.run_chain(channel, chain), name="tca.put_dma")
         if self.engine.tracer is not None:
-            self.engine.trace("tca.comm", "tca-put", transport="dma",
-                              src_node=src_node, bytes=nbytes,
-                              dur_ps=elapsed)
+            self.engine.trace("tca.comm", "tca-put", "dma", src_node,
+                              nbytes, elapsed)
         return elapsed
 
     def put_dma_pipelined(self, src_node: int, src_local: int,
@@ -186,9 +185,8 @@ class TCAComm:
         elapsed = yield self.engine.process(
             driver.run_chain(channel, chain), name="tca.put_dma_pipelined")
         if self.engine.tracer is not None:
-            self.engine.trace("tca.comm", "tca-put",
-                              transport="dma-pipelined", src_node=src_node,
-                              bytes=nbytes, dur_ps=elapsed)
+            self.engine.trace("tca.comm", "tca-put", "dma-pipelined",
+                              src_node, nbytes, elapsed)
         return elapsed
 
     # -- block-stride transfers (§III-H) ------------------------------------------------

@@ -346,9 +346,8 @@ class TCASubCluster:
                                          - dead_link.down_since_ps)
         if self.engine.tracer is not None:
             self.engine.trace(
-                "tca", "heal",
-                link=",".join(link.name for _, _, link in down),
-                cuts=",".join(f"d{cut.dim}+{cut.plus_of}" for cut in cuts))
+                "tca", "heal", ",".join(link.name for _, _, link in down),
+                ",".join(f"d{cut.dim}+{cut.plus_of}" for cut in cuts))
         if self.engine.metrics is not None:
             metrics = self.engine.metrics
             metrics.counter("tca.reroutes").inc()

@@ -4,6 +4,7 @@ import json
 
 from repro.bench.loopback import LoopbackRig
 from repro.obs import Observability
+from repro.obs.events import LINK_TX
 from repro.obs.exporters import (_EVENTS_PER_WRITE, ATTRIBUTION_TRACK,
                                  perfetto_trace, write_perfetto)
 from repro.sim.trace import Tracer
@@ -167,14 +168,14 @@ def test_streamed_trace_file_equals_the_dumped_document(tmp_path):
     obs, _ = _traced_run()
     obs.write_trace(str(path))
     assert path.read_text(encoding="utf-8") == json.dumps(
-        obs.perfetto_trace(), indent=1)
+        obs.perfetto_trace(), separators=(",", ":"))
     # More events than one write batch, an engine that recorded nothing,
     # and no engines at all.
     tracer = Tracer(max_records=None)
     for i in range(2 * _EVENTS_PER_WRITE + 7):
-        tracer.emit(i, f"c{i % 3}", "tick", dur_ps=i % 2, n=i)
+        tracer.emit(i, f"c{i % 3}", LINK_TX, i % 2, i, "MWr")
     for engines in ([("busy", tracer.records, None)], [("idle", [], None)],
                     []):
         write_perfetto(str(path), engines)
         assert path.read_text(encoding="utf-8") == json.dumps(
-            perfetto_trace(engines), indent=1)
+            perfetto_trace(engines), separators=(",", ":"))

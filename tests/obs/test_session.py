@@ -49,9 +49,9 @@ def test_totals_aggregate_across_engines():
     with obs.session():
         a = Engine()
         b = Engine()
-    a.trace("x", "k")
-    a.trace("x", "k")  # dropped: over the cap
-    b.trace("y", "k")
+    a.trace("x", "link-down")
+    a.trace("x", "link-down")  # dropped: over the cap
+    b.trace("y", "link-down")
     assert obs.total_records == 2
     assert obs.total_dropped == 1
 
@@ -65,5 +65,5 @@ def test_total_records_builds_no_record(monkeypatch):
     with obs.session():
         engine = Engine()
     for i in range(3):
-        engine.trace("x", "k", n=i)
+        engine.trace("x", "msi", i)
     assert obs.total_records == 3

@@ -50,6 +50,8 @@ async def _shut_down(server):
     server._server.close()
     await server._server.wait_closed()
     server.bridge.stop()
+    if server.bridge.journal is not None:
+        server.bridge.journal.close()
 
 
 # -- the job table --------------------------------------------------------------------
@@ -266,8 +268,6 @@ def _wait_on_each(submits, **build_kw):
             frames.append(server.bridge.events(key)[-1])
         failed = server.runlog.metrics.counter("serve.jobs.failed").value
         await asyncio.wait_for(_shut_down(server), 10)
-        if server.bridge.journal is not None:
-            server.bridge.journal.close()
         return jobs, frames, failed
 
     return asyncio.run(main())

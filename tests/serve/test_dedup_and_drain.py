@@ -185,3 +185,5 @@ def test_sigterm_drains_in_flight_job_then_exits_zero(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
